@@ -208,14 +208,96 @@ void Runtime::maybe_sample(PageIndex page, Timestamp ts) {
   }
 }
 
+namespace {
+
+/// Per-thread staging for serve_span(): the span's requests in slot
+/// order (stable-partitioned by shard), each slot's arrival index, and
+/// the outcomes in slot order. Grows to the largest span the thread has
+/// served, so serving is allocation-free after warm-up.
+struct SpanStaging {
+  std::vector<std::uint32_t> shard_of;        ///< arrival index -> shard
+  std::vector<std::uint32_t> run_begin;       ///< shard -> first slot, then n
+  std::vector<std::uint32_t> cursor;          ///< shard -> next free slot
+  std::vector<cache::AccessContext> request;  ///< slot -> request
+  std::vector<std::uint32_t> arrival;         ///< slot -> arrival index
+  std::vector<cache::AccessResult> results;   ///< slot -> outcome
+};
+
+SpanStaging& span_staging() {
+  thread_local SpanStaging staging;
+  return staging;
+}
+
+}  // namespace
+
+Runtime::StagedSpan Runtime::serve_span(std::span<const Access> batch) {
+  const std::size_t n = batch.size();
+  SpanStaging& s = span_staging();
+  s.arrival.resize(n);
+  s.results.resize(n);
+  if (front_) {
+    // The front cache couples pages across shards — its direct-mapped
+    // replicas and sketch aging are shared by all of them — so grouping
+    // by shard would reorder its state changes. A front-enabled runtime
+    // serves the span in arrival order through access().
+    for (std::size_t i = 0; i < n; ++i) {
+      const Access& a = batch[i];
+      s.results[i] = access(a.page, a.timestamp, a.is_write);
+      s.arrival[i] = static_cast<std::uint32_t>(i);
+    }
+    return {s.results, s.arrival};
+  }
+  // Capture before serving, in arrival order (see access()).
+  if (recorder_) {
+    for (const Access& a : batch) {
+      recorder_->record(a.page, a.timestamp, a.is_write);
+    }
+  }
+  // Counting sort by shard: a stable partition, so each shard's run keeps
+  // the span's arrival order.
+  const ShardRouter& router = sharded_->router();
+  const std::uint32_t shards = router.shards();
+  s.shard_of.resize(n);
+  s.request.resize(n);
+  s.run_begin.assign(shards + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    s.shard_of[i] = router.route(batch[i].page);
+    ++s.run_begin[s.shard_of[i] + 1];
+  }
+  for (std::uint32_t sh = 0; sh < shards; ++sh) {
+    s.run_begin[sh + 1] += s.run_begin[sh];
+  }
+  s.cursor.assign(s.run_begin.begin(), s.run_begin.end() - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Access& a = batch[i];
+    const std::uint32_t slot = s.cursor[s.shard_of[i]]++;
+    s.request[slot] = {.page = a.page, .timestamp = a.timestamp,
+                       .is_write = a.is_write};
+    s.arrival[slot] = static_cast<std::uint32_t>(i);
+  }
+  // One lock hold per shard run. Shards share no state, so serving the
+  // runs one after another gives each shard exactly the request sequence
+  // the per-access loop would.
+  for (std::uint32_t sh = 0; sh < shards; ++sh) {
+    const std::uint32_t begin = s.run_begin[sh];
+    const std::uint32_t len = s.run_begin[sh + 1] - begin;
+    if (len == 0) continue;
+    sharded_->access_run(sh, {s.request.data() + begin, len},
+                         {s.results.data() + begin, len});
+  }
+  if (refresher_) {
+    for (const Access& a : batch) maybe_sample(a.page, a.timestamp);
+  }
+  return {s.results, s.arrival};
+}
+
 void Runtime::apply_batch(std::span<const Access> batch,
                           std::span<cache::AccessResult> results) {
   assert(results.empty() || results.size() >= batch.size());
-  const bool record = !results.empty();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Access& a = batch[i];
-    const cache::AccessResult r = access(a.page, a.timestamp, a.is_write);
-    if (record) results[i] = r;
+  const StagedSpan staged = serve_span(batch);
+  if (results.empty()) return;
+  for (std::size_t k = 0; k < staged.results.size(); ++k) {
+    results[staged.arrival[k]] = staged.results[k];
   }
 }
 
@@ -223,8 +305,7 @@ void Runtime::apply_batch(std::span<const Access> batch,
                           BatchOutcome& outcome) {
   outcome = {};
   outcome.count = static_cast<std::uint32_t>(batch.size());
-  for (const Access& a : batch) {
-    const cache::AccessResult r = access(a.page, a.timestamp, a.is_write);
+  for (const cache::AccessResult& r : serve_span(batch).results) {
     outcome.hits += r.hit ? 1 : 0;
     outcome.admitted += r.admitted ? 1 : 0;
     outcome.evictions += r.evicted ? 1 : 0;

@@ -5,8 +5,9 @@
 //                    |
 //                    v (front miss / write)
 //                ShardRouter --> per-shard {mutex, SetAssociativeCache,
-//                                           ReplacementPolicy clone,
-//                                           InferenceBatcher}
+//               (spans grouped              ReplacementPolicy clone,
+//                into shard runs)           InferenceBatcher}
+//                                   |       one lock hold per shard run
 //                                   |                       ^
 //                                   v (sampled accesses)    | (snapshots)
 //                             ModelRefresher --- publishes --> ModelSlot
@@ -211,20 +212,23 @@ class Runtime {
   cache::AccessResult access(PageIndex page, Timestamp ts,
                              bool is_write = false);
 
-  /// Serves a span of requests in order, from any thread — the entry point
+  /// Serves a span of requests, from any thread — the entry point
   /// replay_trace and the net server share (one syscall-batched read
-  /// becomes one span through the miss path). When `results` is non-empty
-  /// it must hold at least batch.size() elements and receives the
-  /// per-request outcomes. Equivalent to calling access() per element —
-  /// asserted bit-identical by the apply-batch tests.
+  /// becomes one span through the miss path). The span is recorded in
+  /// arrival order, stable-partitioned by shard, and each shard's run is
+  /// served under one lock hold. Shards share no state and each run keeps
+  /// its arrival order, so this is equivalent to calling access() per
+  /// element in order — asserted bit-identical by the apply-batch tests.
+  /// When `results` is non-empty it must hold at least batch.size()
+  /// elements and receives the per-request outcomes at arrival indices.
   void apply_batch(std::span<const Access> batch,
                    std::span<cache::AccessResult> results = {});
 
-  /// Same serving semantics (access() per element, in order), but folds
-  /// the per-request outcomes into `outcome` as they complete instead of
-  /// staging a results array — the net server's completion path, where
-  /// any worker may run any batch and only the aggregate goes back on
-  /// the wire. `outcome` is overwritten, not accumulated into.
+  /// Same serving semantics, but folds the per-request outcomes into
+  /// `outcome` instead of handing back a results array — the net
+  /// server's completion path, where any worker may run any batch and
+  /// only the aggregate goes back on the wire. `outcome` is overwritten,
+  /// not accumulated into.
   void apply_batch(std::span<const Access> batch, BatchOutcome& outcome);
 
   /// Merged + per-shard statistics and model/refresher counters.
@@ -278,6 +282,16 @@ class Runtime {
   void drain_shadow();
 
  private:
+  /// A served span as serve_span() leaves it in thread-local staging:
+  /// results[k] is the outcome of batch[arrival[k]].
+  struct StagedSpan {
+    std::span<const cache::AccessResult> results;
+    std::span<const std::uint32_t> arrival;
+  };
+
+  /// The serving path both apply_batch overloads share. Valid until the
+  /// calling thread's next serve_span().
+  StagedSpan serve_span(std::span<const Access> batch);
   void maybe_sample(PageIndex page, Timestamp ts);
   void register_metrics();
 

@@ -1,5 +1,6 @@
 #include "runtime/sharded_cache.hpp"
 
+#include <cassert>
 #include <stdexcept>
 
 namespace icgmm::runtime {
@@ -42,11 +43,24 @@ ShardedCache::ShardedCache(ShardedCacheConfig cfg,
         return prototype.clone();
       }) {}
 
-cache::AccessResult ShardedCache::access(const cache::AccessContext& ctx) {
-  const std::uint32_t idx = router_.route(ctx.page);
-  Shard& shard = *shards_[idx];
-  std::lock_guard<std::mutex> lock(shard.mu);
+inline cache::AccessResult ShardedCache::serve(Shard& shard, std::uint32_t idx,
+                                               const cache::AccessContext& ctx,
+                                               cache::CacheStats& delta) {
   const cache::AccessResult result = shard.cache->access(ctx);
+  // Tally the outcome with the same derivation the cache applies
+  // internally (see SetAssociativeCache::access); the caller publishes
+  // the tally once per lock hold.
+  ++delta.accesses;
+  if (result.hit) {
+    ++delta.hits;
+  } else {
+    ++(ctx.is_write ? delta.write_misses : delta.read_misses);
+    ++(result.admitted ? delta.fills : delta.bypasses);
+    if (result.evicted) {
+      ++delta.evictions;
+      if (result.evicted_dirty) ++delta.dirty_evictions;
+    }
+  }
   // Async miss pipeline: hand the miss to the decision thread. Pushed
   // under the shard lock, so all producers are serialized — the ring's
   // single-producer contract. A full ring drops (and counts) the rescore
@@ -69,28 +83,31 @@ cache::AccessResult ShardedCache::access(const cache::AccessContext& ctx) {
       events_->emit(obs::EventType::kShadowRingDrop, idx);
     }
   }
-  // Mirror the outcome into the lock-free-readable counters (same
-  // derivation the cache applies internally, see
-  // SetAssociativeCache::access). Updated while still holding the shard
-  // lock: a clear_stats() racing an unlocked mirror update would leave
-  // the mirrors permanently ahead of the authoritative per-shard stats.
-  Counters& c = shard.counters;
-  c.accesses.fetch_add(1, std::memory_order_relaxed);
-  if (result.hit) {
-    c.hits.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    (ctx.is_write ? c.write_misses : c.read_misses)
-        .fetch_add(1, std::memory_order_relaxed);
-    (result.admitted ? c.fills : c.bypasses)
-        .fetch_add(1, std::memory_order_relaxed);
-    if (result.evicted) {
-      c.evictions.fetch_add(1, std::memory_order_relaxed);
-      if (result.evicted_dirty) {
-        c.dirty_evictions.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
   return result;
+}
+
+cache::AccessResult ShardedCache::access(const cache::AccessContext& ctx) {
+  const std::uint32_t idx = router_.route(ctx.page);
+  Shard& shard = *shards_[idx];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  cache::CacheStats delta;
+  const cache::AccessResult result = serve(shard, idx, ctx, delta);
+  publish(shard.counters, delta);
+  return result;
+}
+
+void ShardedCache::access_run(std::uint32_t idx,
+                              std::span<const cache::AccessContext> run,
+                              std::span<cache::AccessResult> out) {
+  assert(out.size() >= run.size());
+  Shard& shard = *shards_[idx];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  cache::CacheStats delta;
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    assert(router_.route(run[i].page) == idx);
+    out[i] = serve(shard, idx, run[i], delta);
+  }
+  publish(shard.counters, delta);
 }
 
 cache::CacheStats ShardedCache::merged_stats() const noexcept {

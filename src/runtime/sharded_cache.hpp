@@ -8,12 +8,18 @@
 // counters mirroring CacheStats — so merged statistics are readable
 // lock-free while a request storm is in flight.
 //
-// Consistency: each atomic counter is updated (relaxed) while the shard
-// lock is still held, so the mirrors never drift from the authoritative
-// per-shard stats — even against a concurrent clear_stats(). Readers of
-// merged_stats() take no locks; a mid-flight snapshot is per-counter
-// coherent, while identities like hits + misses == accesses are
-// guaranteed only at quiescence (e.g. after worker joins).
+// Serving takes one lock hold per shard run: access_run() serves a span
+// of requests that all route to one shard under a single hold, and
+// access() serves one request the same way. Both go through one
+// per-request body (cache access, ring pushes, outcome tally).
+//
+// Consistency: a run tallies its outcome in locals and publishes it to
+// the atomic counters (relaxed, one fetch_add per counter that moved)
+// while the shard lock is still held, so the mirrors never drift from
+// the authoritative per-shard stats — even against a concurrent
+// clear_stats(). Readers of merged_stats() take no locks; a mid-flight
+// snapshot is per-counter coherent, while identities like hits + misses
+// == accesses are guaranteed only at quiescence (e.g. after worker joins).
 #pragma once
 
 #include <atomic>
@@ -21,6 +27,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -36,13 +43,13 @@ struct ShardedCacheConfig {
   cache::CacheConfig cache;
   std::uint32_t shards = 4;
   /// When non-zero, each shard carries a bounded MissRing of this capacity
-  /// and access() enqueues every miss into the owning shard's ring (under
+  /// and serving enqueues every miss into the owning shard's ring (under
   /// that shard's lock, which is what makes the ring's single-producer
   /// contract hold). Zero = no rings, no per-miss overhead — the default
   /// synchronous mode. Set by Runtime's async miss pipeline.
   std::uint32_t miss_ring_capacity = 0;
   /// When non-zero, each shard carries a bounded ShadowRing of this
-  /// capacity and access() enqueues EVERY access (hit or miss, with the
+  /// capacity and serving enqueues EVERY access (hit or miss, with the
   /// serving verdict) into the owning shard's ring — the feed for the
   /// shadow policy evaluator. Same producer discipline and never-block
   /// overflow contract as the miss ring. Zero = no rings, no per-access
@@ -71,8 +78,18 @@ class ShardedCache {
   const cache::CacheConfig& shard_config() const noexcept { return shard_cfg_; }
   const ShardRouter& router() const noexcept { return router_; }
 
-  /// Routes, locks the owning shard, and processes the request.
+  /// Routes, locks the owning shard, and processes the request — what a
+  /// one-element access_run() does, without the span bookkeeping.
   cache::AccessResult access(const cache::AccessContext& ctx);
+
+  /// Serves `run` in order on shard `shard` under one hold of its lock;
+  /// out[i] receives run[i]'s outcome. Every page in `run` must route to
+  /// `shard` (asserted in debug builds) and `out` must hold at least
+  /// run.size() elements. Ring pushes happen per access under the hold,
+  /// in run order; the counter mirrors are published once per run.
+  void access_run(std::uint32_t shard,
+                  std::span<const cache::AccessContext> run,
+                  std::span<cache::AccessResult> out);
 
   /// Lock-free merged statistics (relaxed sums of the per-shard atomics).
   cache::CacheStats merged_stats() const noexcept;
@@ -121,7 +138,7 @@ class ShardedCache {
 
  public:
   /// Shard `i`'s miss ring, or nullptr when miss_ring_capacity was 0.
-  /// The decision thread is the only consumer; producers are access()
+  /// The decision thread is the only consumer; producers are serving
   /// calls serialized by the shard lock.
   MissRing* miss_ring(std::uint32_t shard) noexcept {
     return shards_[shard]->ring.get();
@@ -129,7 +146,7 @@ class ShardedCache {
 
   /// Shard `i`'s shadow access ring, or nullptr when shadow_ring_capacity
   /// was 0. The ShadowEvaluator is the only consumer; producers are
-  /// access() calls serialized by the shard lock.
+  /// serving calls serialized by the shard lock.
   ShadowRing* shadow_ring(std::uint32_t shard) noexcept {
     return shards_[shard]->shadow.get();
   }
@@ -137,7 +154,7 @@ class ShardedCache {
   /// Mutating view of one shard handed to with_shard_mut's callback. Keeps
   /// the invariant that the lock-free counter mirrors never drift from the
   /// authoritative CacheStats: demote() updates both under the same lock
-  /// hold, exactly like access() does.
+  /// hold, exactly like serving does.
   class ShardOps {
    public:
     cache::SetAssociativeCache& cache() noexcept { return *shard_.cache; }
@@ -148,11 +165,8 @@ class ShardedCache {
     cache::InvalidateResult demote(PageIndex page) noexcept {
       const cache::InvalidateResult r = shard_.cache->invalidate(page);
       if (r.found) {
-        shard_.counters.evictions.fetch_add(1, std::memory_order_relaxed);
-        if (r.was_dirty) {
-          shard_.counters.dirty_evictions.fetch_add(
-              1, std::memory_order_relaxed);
-        }
+        publish(shard_.counters, {.evictions = 1,
+                                  .dirty_evictions = r.was_dirty ? 1u : 0u});
       }
       return r;
     }
@@ -182,6 +196,31 @@ class ShardedCache {
 
  private:
   static cache::CacheConfig split_config(const ShardedCacheConfig& cfg);
+  /// Serves one request on `shard` (index `idx`) with its lock held:
+  /// the cache access, the ring pushes, and the outcome tallied into
+  /// `delta` for publish().
+  cache::AccessResult serve(Shard& shard, std::uint32_t idx,
+                            const cache::AccessContext& ctx,
+                            cache::CacheStats& delta);
+  /// Adds `delta` to the atomic mirrors, one relaxed fetch_add per
+  /// non-zero counter. Callers hold the shard lock (see the consistency
+  /// note). Defined here so the serving path inlines it.
+  static void publish(Counters& c, const cache::CacheStats& delta) noexcept {
+    const auto add = [](std::atomic<std::uint64_t>& counter,
+                        std::uint64_t n) {
+      if (n != 0) counter.fetch_add(n, std::memory_order_relaxed);
+    };
+    add(c.accesses, delta.accesses);
+    add(c.hits, delta.hits);
+    // An all-hit run (the common case) moved nothing else.
+    if (delta.misses() == 0 && delta.evictions == 0) return;
+    add(c.read_misses, delta.read_misses);
+    add(c.write_misses, delta.write_misses);
+    add(c.fills, delta.fills);
+    add(c.bypasses, delta.bypasses);
+    add(c.evictions, delta.evictions);
+    add(c.dirty_evictions, delta.dirty_evictions);
+  }
 
   ShardRouter router_;
   cache::CacheConfig shard_cfg_;
