@@ -2,7 +2,7 @@
 // evaluator off vs on, on the same LRU serving runtime and Zipf
 // workload. Three variants:
 //
-//   off        — no shadow machinery at all (the baseline invariant 9
+//   off        — no shadow machinery at all (the baseline invariant 8
 //                guarantees this is bit-identical serving)
 //   lru        — a classic LRU shadow (pure tag-directory replay; the
 //                cheapest possible candidate policy)

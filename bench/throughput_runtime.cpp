@@ -9,12 +9,11 @@
 // honest numbers, but parallel speedup is not observable — the JSON
 // records hardware_concurrency so baselines are interpretable.
 //
-// --zipf-s runs an additional skew sweep with the hot-page front cache
-// off and on (LRU, 4 shards): under high skew one head page serializes
-// on its owning shard's mutex, and the replicated read-front is supposed
-// to absorb exactly that — the sweep captures the win (and the
-// low-skew non-regression) in the same JSON schema, with front_hit_rate
-// per cell.
+// --zipf-s runs an additional skew sweep (LRU, 4 shards, 1 and 4
+// threads): as skew rises more of the stream lands on the head page's
+// owning shard, so this is where lock contention between serving threads
+// would show. The cells share the main sweep's JSON schema, tagged by
+// their zipf_s.
 //
 // Usage: throughput_runtime [-n REQUESTS] [--quick] [--json FILE]
 //                           [--zipf-s S1,S2,...]
@@ -64,9 +63,7 @@ struct Cell {
   std::uint32_t shards = 0;
   std::uint32_t threads = 0;
   double zipf_s = 0.99;
-  bool front_cache = false;
   bool async_miss = false;
-  double front_hit_rate = 0.0;
   /// Fraction of enqueued deferred rescores the bounded ring dropped
   /// (async cells only) — the honesty metric for the async speedup: a
   /// starved decision thread drops work instead of blocking serving.
@@ -186,56 +183,37 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --zipf-s: skew sweep with the hot-page front cache off and on. LRU
-  // isolates the shard-mutex serialization (no inference on the miss
-  // path); 4 shards so the head page's owning shard is one of several.
+  // --zipf-s: skew sweep. LRU isolates the shard-mutex serialization (no
+  // inference on the miss path); 4 shards so the head page's owning shard
+  // is one of several.
   for (const double s : zipf_sweep) {
     const trace::Trace hot = make_workload(opt.requests, cache_cfg, s);
-    for (const bool front : {false, true}) {
-      for (const std::uint32_t threads : {1u, 4u}) {
-        runtime::RuntimeConfig rcfg;
-        rcfg.cache = cache_cfg;
-        rcfg.shards = 4;
-        if (front) {
-          rcfg.front = {.enabled = true,
-                        .replicas = threads,
-                        .capacity = 16,
-                        .promote_after = 8,
-                        .stripes = 256};
-        }
-        runtime::Runtime rt(rcfg, cache::LruPolicy());
-        serve.policy_runs_on_miss = false;
-        serve.threads = threads;
-        const runtime::ReplayResult r = runtime::replay_trace(rt, hot, serve);
-        const runtime::RuntimeSnapshot snap = rt.snapshot();
-        const double front_hit_rate =
-            snap.merged.accesses == 0
-                ? 0.0
-                : static_cast<double>(snap.front_hits) /
-                      static_cast<double>(snap.merged.accesses);
-        cells.push_back({.policy = "LRU",
-                         .shards = 4,
-                         .threads = threads,
-                         .zipf_s = s,
-                         .front_cache = front,
-                         .front_hit_rate = front_hit_rate,
-                         .mreq_per_s = r.requests_per_second / 1e6,
-                         .miss_rate = r.run.stats.miss_rate()});
-      }
+    for (const std::uint32_t threads : {1u, 4u}) {
+      runtime::RuntimeConfig rcfg;
+      rcfg.cache = cache_cfg;
+      rcfg.shards = 4;
+      runtime::Runtime rt(rcfg, cache::LruPolicy());
+      serve.policy_runs_on_miss = false;
+      serve.threads = threads;
+      const runtime::ReplayResult r = runtime::replay_trace(rt, hot, serve);
+      cells.push_back({.policy = "LRU",
+                       .shards = 4,
+                       .threads = threads,
+                       .zipf_s = s,
+                       .mreq_per_s = r.requests_per_second / 1e6,
+                       .miss_rate = r.run.stats.miss_rate()});
     }
   }
 
   std::cout << "serving throughput, " << workload.size() << " requests, "
             << workload.unique_pages() << " pages, hardware threads: "
             << std::thread::hardware_concurrency() << "\n\n";
-  Table table({"policy", "zipf s", "shards", "threads", "front", "async",
-               "M req/s", "miss rate", "front hits", "drop rate"});
+  Table table({"policy", "zipf s", "shards", "threads", "async", "M req/s",
+               "miss rate", "drop rate"});
   for (const Cell& c : cells) {
     table.add_row({c.policy, Table::fmt(c.zipf_s, 2), std::to_string(c.shards),
-                   std::to_string(c.threads), c.front_cache ? "on" : "off",
-                   c.async_miss ? "on" : "off", Table::fmt(c.mreq_per_s, 2),
-                   Table::fmt_percent(c.miss_rate),
-                   Table::fmt_percent(c.front_hit_rate),
+                   std::to_string(c.threads), c.async_miss ? "on" : "off",
+                   Table::fmt(c.mreq_per_s, 2), Table::fmt_percent(c.miss_rate),
                    Table::fmt_percent(c.deferred_drop_rate)});
   }
   std::cout << table.render();
@@ -251,10 +229,8 @@ int main(int argc, char** argv) {
       const Cell& c = cells[i];
       out << "    {\"policy\": \"" << c.policy << "\", \"shards\": "
           << c.shards << ", \"threads\": " << c.threads
-          << ", \"zipf_s\": " << c.zipf_s << ", \"front_cache\": "
-          << (c.front_cache ? "true" : "false") << ", \"async_miss\": "
+          << ", \"zipf_s\": " << c.zipf_s << ", \"async_miss\": "
           << (c.async_miss ? "true" : "false")
-          << ", \"front_hit_rate\": " << c.front_hit_rate
           << ", \"deferred_drop_rate\": " << c.deferred_drop_rate
           << ", \"mreq_per_s\": " << c.mreq_per_s << ", \"miss_rate\": "
           << c.miss_rate << "}" << (i + 1 < cells.size() ? "," : "") << "\n";

@@ -111,8 +111,7 @@ ReplayResult replay_trace(Runtime& rt, const trace::Trace& trace,
   rt.drain_deferred();
   const auto t1 = std::chrono::steady_clock::now();
 
-  // Runtime-level merge: shard counters plus front-cache hits, so a
-  // front-cache-enabled replay reports the same accesses total.
+  // Shard counters merged lock-free; exact now that every worker joined.
   result.run.stats = rt.merged_stats();
   for (const sim::LatencyModel& lm : latency) {
     result.run.requests += lm.requests();

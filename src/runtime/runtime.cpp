@@ -20,7 +20,6 @@ Runtime::Runtime(RuntimeConfig cfg, const cache::ReplacementPolicy& prototype)
                                                      : 0,
                          .events = cfg_.events},
       prototype);
-  if (cfg_.front.enabled) front_ = std::make_unique<FrontCache>(cfg_.front);
   if (!cfg_.record.path.empty()) {
     recorder_ = std::make_unique<record::TraceRecorder>(cfg_.record);
   }
@@ -71,7 +70,6 @@ Runtime::Runtime(RuntimeConfig cfg, gmm::GaussianMixture model,
         batchers_.push_back(std::move(batcher));
         return policy;
       });
-  if (cfg_.front.enabled) front_ = std::make_unique<FrontCache>(cfg_.front);
   if (!cfg_.record.path.empty()) {
     recorder_ = std::make_unique<record::TraceRecorder>(cfg_.record);
   }
@@ -111,9 +109,6 @@ void Runtime::register_metrics() {
         out.push_back({"icgmm_gmm_models_published", s.models_published});
         out.push_back({"icgmm_gmm_samples_observed", s.samples_observed});
         out.push_back({"icgmm_gmm_samples_dropped", s.samples_dropped});
-        out.push_back({"icgmm_front_hits", s.front_hits});
-        out.push_back({"icgmm_front_fills", s.front_fills});
-        out.push_back({"icgmm_front_invalidations", s.front_invalidations});
         out.push_back({"icgmm_deferred_enqueued", s.deferred_enqueued});
         out.push_back({"icgmm_deferred_applied", s.deferred_applied});
         out.push_back({"icgmm_deferred_dropped", s.deferred_dropped});
@@ -158,34 +153,8 @@ cache::AccessResult Runtime::access(PageIndex page, Timestamp ts,
   // stream in arrival order (try-push only — a full ring drops and
   // counts, it never stalls this path).
   if (recorder_) recorder_->record(page, ts, is_write);
-  cache::AccessResult result;
-  if (front_ && !is_write) {
-    const FrontCache::ReadProbe probe = front_->probe_read(page);
-    if (probe.outcome == FrontCache::ReadOutcome::kHit) {
-      // Served by the caller's replica: DRAM-speed hit, no shard mutex,
-      // no policy update. The hit is counted by the front cache and
-      // folded into merged_stats(); the drift sampler still sees the
-      // access so the model's view of the stream stays unbiased.
-      maybe_sample(page, ts);
-      return {.hit = true, .is_write = false};
-    }
-    result = sharded_->access({.page = page, .timestamp = ts,
-                               .is_write = false});
-    if (probe.outcome == FrontCache::ReadOutcome::kMissPromotable &&
-        result.hit) {
-      front_->promote(page, probe.stamp);
-    }
-  } else if (front_) {
-    // Write-invalidate: the stripe is unstable (writer count raised) for
-    // the whole shard write, so no replica can fill or serve this page
-    // across it.
-    const FrontCache::WriteGuard guard = front_->write_guard(page);
-    result = sharded_->access({.page = page, .timestamp = ts,
-                               .is_write = true});
-  } else {
-    result = sharded_->access(
-        {.page = page, .timestamp = ts, .is_write = is_write});
-  }
+  const cache::AccessResult result =
+      sharded_->access({.page = page, .timestamp = ts, .is_write = is_write});
   maybe_sample(page, ts);
   return result;
 }
@@ -235,18 +204,6 @@ Runtime::StagedSpan Runtime::serve_span(std::span<const Access> batch) {
   SpanStaging& s = span_staging();
   s.arrival.resize(n);
   s.results.resize(n);
-  if (front_) {
-    // The front cache couples pages across shards — its direct-mapped
-    // replicas and sketch aging are shared by all of them — so grouping
-    // by shard would reorder its state changes. A front-enabled runtime
-    // serves the span in arrival order through access().
-    for (std::size_t i = 0; i < n; ++i) {
-      const Access& a = batch[i];
-      s.results[i] = access(a.page, a.timestamp, a.is_write);
-      s.arrival[i] = static_cast<std::uint32_t>(i);
-    }
-    return {s.results, s.arrival};
-  }
   // Capture before serving, in arrival order (see access()).
   if (recorder_) {
     for (const Access& a : batch) {
@@ -325,18 +282,6 @@ std::uint64_t Runtime::inferences() const {
   return total;
 }
 
-cache::CacheStats Runtime::merged_stats() const noexcept {
-  cache::CacheStats merged = sharded_->merged_stats();
-  if (front_) {
-    // A front hit is an access AND a hit the shards never saw; adding it
-    // to both counters preserves hits + misses == accesses.
-    const std::uint64_t front_hits = front_->stats().hits;
-    merged.accesses += front_hits;
-    merged.hits += front_hits;
-  }
-  return merged;
-}
-
 RuntimeSnapshot Runtime::snapshot() const {
   RuntimeSnapshot snap;
   snap.merged = merged_stats();
@@ -355,12 +300,6 @@ RuntimeSnapshot Runtime::snapshot() const {
     snap.models_published = refresher_->published();
     snap.samples_observed = refresher_->observed();
     snap.samples_dropped = refresher_->dropped();
-  }
-  if (front_) {
-    const FrontCacheStats fs = front_->stats();
-    snap.front_hits = fs.hits;
-    snap.front_fills = fs.fills;
-    snap.front_invalidations = fs.invalidations;
   }
   if (decision_) {
     snap.deferred_enqueued = sharded_->ring_pushed();
@@ -417,13 +356,6 @@ void Runtime::clear_stats() {
   // counters: the clear scopes serving stats, not background engines).
   drain_shadow();
   sharded_->clear_stats();
-  if (front_) {
-    // Epoch-based invalidation on flush: entries promoted before the
-    // clear die, so post-clear counters describe only post-clear serving
-    // and the stats identities stay exact.
-    front_->invalidate_all();
-    front_->clear_stats();
-  }
 }
 
 }  // namespace icgmm::runtime

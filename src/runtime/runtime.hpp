@@ -1,10 +1,7 @@
 // The embeddable serving runtime: the thread-safe facade wrapping the
 // single-threaded ICGMM pieces for concurrent traffic.
 //
-//   requests --> FrontCache (optional hot-page read replicas)
-//                    |
-//                    v (front miss / write)
-//                ShardRouter --> per-shard {mutex, SetAssociativeCache,
+//   requests --> ShardRouter --> per-shard {mutex, SetAssociativeCache,
 //               (spans grouped              ReplacementPolicy clone,
 //                into shard runs)           InferenceBatcher}
 //                                   |       one lock hold per shard run
@@ -37,7 +34,6 @@
 #include "obs/registry.hpp"
 #include "record/recorder.hpp"
 #include "runtime/decision_thread.hpp"
-#include "runtime/front_cache.hpp"
 #include "runtime/inference_batcher.hpp"
 #include "runtime/model_refresher.hpp"
 #include "runtime/shadow_evaluator.hpp"
@@ -65,7 +61,7 @@ struct AsyncMissConfig {
 /// observes every access from a bounded per-shard ring and maintains its
 /// own tag-only directories off the serving path. Default off = no rings,
 /// no thread, no per-access overhead — serving is bit-identical to a
-/// runtime without the feature (invariant #9, pinned by the shadow-off
+/// runtime without the feature (invariant #8, pinned by the shadow-off
 /// golden test).
 struct ShadowConfig {
   bool enabled = false;
@@ -91,9 +87,6 @@ struct RuntimeConfig {
   /// 1-in-N access sampling into the refresher (1 = every request).
   std::uint32_t sample_every = 64;
   ModelRefresherConfig refresher;
-  /// Replicated hot-page read-front (default off = bit-identical serving
-  /// to a runtime without one; see front_cache.hpp).
-  FrontCacheConfig front;
   /// Asynchronous miss pipeline (GMM-mode constructor only; the prototype
   /// constructor rejects it — it has no scoring plumbing to defer to).
   AsyncMissConfig async_miss;
@@ -107,8 +100,8 @@ struct RuntimeConfig {
   record::RecorderConfig record;
   /// Optional observability sinks (not owned; must outlive the runtime).
   /// With `metrics` set the runtime registers a provider exporting every
-  /// RuntimeSnapshot counter (icgmm_cache_*, icgmm_gmm_*, icgmm_front_*,
-  /// icgmm_deferred_*, icgmm_record_*) — the registry wraps the existing
+  /// RuntimeSnapshot counter (icgmm_cache_*, icgmm_gmm_*, icgmm_deferred_*,
+  /// icgmm_record_*, icgmm_shadow_*) — the registry wraps the existing
   /// atomics, it does not fork them. With `events` set the flight
   /// recorder sees model publishes, drain barriers, stats clears, and
   /// miss-ring drops.
@@ -137,11 +130,8 @@ struct BatchOutcome {
 
 /// Coherent observability snapshot (merged lock-free; per-shard locked).
 struct RuntimeSnapshot {
-  /// Includes front-cache hits (in both accesses and hits), so the
-  /// hits + misses == accesses identity holds over the whole runtime.
   cache::CacheStats merged;
-  /// Shard-authoritative stats; front hits never reach a shard, so
-  /// sum(per_shard.accesses) + front_hits == merged.accesses.
+  /// sum(per_shard) == merged at quiescence.
   std::vector<cache::CacheStats> per_shard;
   std::uint64_t inferences = 0;       ///< GMM scorings across shards
   std::uint64_t score_batches = 0;    ///< batched span scorings
@@ -149,9 +139,6 @@ struct RuntimeSnapshot {
   std::uint64_t models_published = 0; ///< refresher publishes
   std::uint64_t samples_observed = 0;
   std::uint64_t samples_dropped = 0;
-  std::uint64_t front_hits = 0;           ///< reads served by the front cache
-  std::uint64_t front_fills = 0;          ///< front-cache promotions
-  std::uint64_t front_invalidations = 0;  ///< stale front entries dropped
   // Async miss pipeline (all 0 when async_miss is off). At a drain
   // barrier: deferred_enqueued == deferred_applied, and every miss that
   // offered a rescore is accounted enqueued or dropped.
@@ -234,10 +221,11 @@ class Runtime {
   /// Merged + per-shard statistics and model/refresher counters.
   RuntimeSnapshot snapshot() const;
 
-  /// Merged CacheStats over the whole runtime: the shards' lock-free
-  /// merged counters plus front-cache hits (counted as accesses + hits).
-  /// With the front cache off this is exactly cache().merged_stats().
-  cache::CacheStats merged_stats() const noexcept;
+  /// Merged CacheStats over the whole runtime (the shards' lock-free
+  /// merged counters).
+  cache::CacheStats merged_stats() const noexcept {
+    return sharded_->merged_stats();
+  }
 
   /// Total GMM inferences across shard policies (0 in prototype mode
   /// unless the prototype was a GmmPolicy).
@@ -262,8 +250,6 @@ class Runtime {
   const ModelSlot* model_slot() const noexcept { return slot_.get(); }
   /// Null unless GMM mode with cfg.adapt.
   ModelRefresher* refresher() noexcept { return refresher_.get(); }
-  /// Null unless cfg.front.enabled.
-  const FrontCache* front_cache() const noexcept { return front_.get(); }
   /// Null unless GMM mode with cfg.async_miss.enabled.
   const DecisionThread* decision_thread() const noexcept {
     return decision_.get();
@@ -301,7 +287,6 @@ class Runtime {
   std::unique_ptr<ModelSlot> slot_;                       // GMM mode only
   std::vector<std::unique_ptr<InferenceBatcher>> batchers_;  // one per shard
   std::unique_ptr<ShardedCache> sharded_;
-  std::unique_ptr<FrontCache> front_;                     // cfg.front.enabled
   std::unique_ptr<ModelRefresher> refresher_;
   std::unique_ptr<record::TraceRecorder> recorder_;       // cfg.record.path
   // Declared last (destroyed first): the workers reference sharded_ (and

@@ -1,8 +1,8 @@
 // Shadow policy evaluation (runtime::ShadowEvaluator) — the contracts
 // that make online what-if experiments trustworthy:
 //  * shadow off builds no machinery and serving is bit-identical to the
-//    PR 4 apply-batch behavior (invariant #9, first half);
-//  * shadow on never mutates serving state (invariant #9, second half);
+//    PR 4 apply-batch behavior (invariant #8, first half);
+//  * shadow on never mutates serving state (invariant #8, second half);
 //  * a shadow configured identically to the serving policy reproduces
 //    the serving verdict stream exactly — zero divergence, a checkable
 //    identity (the acceptance gate for every real shadow experiment);
@@ -44,7 +44,7 @@ runtime::ShadowEvaluator::PolicyFactory lru_factory() {
 }
 
 TEST(Shadow, OffBuildsNoMachinery) {
-  // Invariant #9, first half: default config constructs no rings, no
+  // Invariant #8, first half: default config constructs no rings, no
   // directories, no thread — shadow() is null and every shadow counter
   // stays hard zero.
   runtime::Runtime rt(
@@ -68,7 +68,7 @@ TEST(Shadow, OffBuildsNoMachinery) {
 }
 
 TEST(Shadow, NeverMutatesServingState) {
-  // Invariant #9, second half: the same trace through a shadow-on runtime
+  // Invariant #8, second half: the same trace through a shadow-on runtime
   // must produce serving stats bit-identical to the shadow-off runtime of
   // the PR 4 apply-batch goldens — same trace, geometry, and replay
   // parameters as ReplayVsManualBatchesBitIdenticalStatsLru. The shadow

@@ -11,8 +11,6 @@
 //               [--async-miss] [--async-ring CAP]
 //               [--scorer float|quantized]
 //               [--shadow-policy NAME] [--shadow-ring CAP]
-//               [--front-cache] [--front-capacity M] [--front-replicas N]
-//               [--front-promote K]
 //               [--record PATH] [--record-sample N] [--record-window W]
 //               [--record-ring CAP] [--record-chunk N]
 //               [--metrics-port P] [--trace-sample N]
@@ -27,11 +25,6 @@
 // thread, the fully deterministic mode). SIGINT/SIGTERM shut down
 // cleanly: stop accepting, drain, print a final stats line, exit 0.
 // --stats-every prints a one-line serving report periodically.
-//
-// --front-cache puts the replicated hot-page read-front in front of the
-// shards (one replica per worker by default; see docs/ARCHITECTURE.md) —
-// the tuning flags imply it. FLUSH invalidates the replicas, so flushed
-// counters stay exact.
 //
 // --async-miss (GMM policies only) turns on the asynchronous miss
 // pipeline: misses admit provisionally and the GMM rescore + eviction
@@ -112,7 +105,6 @@ struct Args {
   std::string scorer = "float";
   std::string shadow_policy;  // empty = shadow evaluation off
   std::uint32_t shadow_ring = 8192;
-  runtime::FrontCacheConfig front;  // off unless a --front-* flag is given
   record::RecorderConfig record;  // off unless --record PATH is given
   int metrics_port = -1;  // -1 = no HTTP endpoint; 0 = ephemeral port
   std::uint32_t trace_sample = 1;
@@ -144,10 +136,6 @@ Args parse(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--scorer")) args.scorer = next();
     else if (!std::strcmp(argv[i], "--shadow-policy")) args.shadow_policy = next();
     else if (!std::strcmp(argv[i], "--shadow-ring")) args.shadow_ring = static_cast<std::uint32_t>(std::stoul(next()));
-    else if (!std::strcmp(argv[i], "--front-cache")) args.front.enabled = true;
-    else if (!std::strcmp(argv[i], "--front-capacity")) { args.front.capacity = static_cast<std::uint32_t>(std::stoul(next())); args.front.enabled = true; }
-    else if (!std::strcmp(argv[i], "--front-replicas")) { args.front.replicas = static_cast<std::uint32_t>(std::stoul(next())); args.front.enabled = true; }
-    else if (!std::strcmp(argv[i], "--front-promote")) { args.front.promote_after = static_cast<std::uint32_t>(std::stoul(next())); args.front.enabled = true; }
     else if (!std::strcmp(argv[i], "--record")) args.record.path = next();
     else if (!std::strcmp(argv[i], "--record-sample")) args.record.sample_every = static_cast<std::uint32_t>(std::stoul(next()));
     else if (!std::strcmp(argv[i], "--record-window")) args.record.sample_window = static_cast<std::uint32_t>(std::stoul(next()));
@@ -201,7 +189,6 @@ int main(int argc, char** argv) {
   rcfg.shards = args.shards;
   rcfg.adapt = args.adapt;
   rcfg.sample_every = args.sample_every;
-  rcfg.front = args.front;
   rcfg.async_miss = args.async_miss;
   rcfg.record = args.record;
   rcfg.metrics = &metrics;
@@ -240,10 +227,6 @@ int main(int argc, char** argv) {
     rcfg.shadow.enabled = true;
     rcfg.shadow.policy_name = args.shadow_policy;
     rcfg.shadow.ring_capacity = args.shadow_ring;
-  }
-  if (rcfg.front.enabled && rcfg.front.replicas == 0) {
-    // One replica per worker (the I/O thread serves when workers == 0).
-    rcfg.front.replicas = args.workers > 0 ? args.workers : 1;
   }
 
   std::unique_ptr<runtime::Runtime> rt;
@@ -339,7 +322,6 @@ int main(int argc, char** argv) {
             << ", shards " << args.shards << ", workers " << args.workers
             << (args.adapt ? ", adaptive" : "")
             << (rcfg.async_miss.enabled ? ", async-miss" : "")
-            << (rcfg.front.enabled ? ", front-cache" : "")
             << (quantized ? ", scorer quantized" : "")
             << (rcfg.shadow.enabled ? ", shadow " + rcfg.shadow.policy_name
                                     : "")
@@ -392,9 +374,6 @@ int main(int argc, char** argv) {
                              scrape("icgmm_cache_accesses", samples))
               << " inferences=" << scrape("icgmm_gmm_inferences", samples)
               << " model_v=" << scrape("icgmm_gmm_model_version", samples);
-    if (rcfg.front.enabled) {
-      std::cout << " front_hits=" << scrape("icgmm_front_hits", samples);
-    }
     if (rcfg.async_miss.enabled) {
       std::cout << " deferred=" << scrape("icgmm_deferred_applied", samples)
                 << "/" << scrape("icgmm_deferred_enqueued", samples)
@@ -432,9 +411,6 @@ int main(int argc, char** argv) {
             << " protocol errors, hit rate "
             << hit_rate_of(scrape("icgmm_cache_hits", samples),
                            scrape("icgmm_cache_accesses", samples));
-  if (rcfg.front.enabled) {
-    std::cout << ", front hits " << scrape("icgmm_front_hits", samples);
-  }
   if (rcfg.async_miss.enabled) {
     std::cout << ", deferred " << scrape("icgmm_deferred_applied", samples)
               << " applied / " << scrape("icgmm_deferred_dropped", samples)
