@@ -2,6 +2,7 @@
 // reference numbers, printed beside ours for every reproduced artifact.
 #pragma once
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -25,6 +26,20 @@ struct Options {
     return opt;
   }
 };
+
+/// Ends a bench's flag parsing: `flag` == nullptr means --help (usage on
+/// stdout, exit 0); otherwise `flag` is unknown or lacks its value (error
+/// and usage on stderr, exit 2).
+[[noreturn]] inline void exit_usage(const char* usage,
+                                    const char* flag = nullptr) {
+  if (flag == nullptr) {
+    std::fputs(usage, stdout);
+    std::exit(0);
+  }
+  std::fprintf(stderr, "error: unknown flag or missing value: %s\n%s", flag,
+               usage);
+  std::exit(2);
+}
 
 /// Paper reference rows (DAC'24, Fig. 6 and Table 1), in the paper's order.
 struct PaperRow {

@@ -1,17 +1,17 @@
 // Network-serving throughput: aggregate requests/sec and latency
 // percentiles through the full RPC stack — loadgen-style clients ->
-// loopback TCP -> epoll server -> worker pool -> sharded runtime — as a
+// loopback TCP -> epoll server (2 event loops) -> sharded runtime — as a
 // function of client connections x wire batch size, for LRU and the GMM
 // policy. The in-process analogue (bench/throughput_runtime) measures the
 // runtime without the network; the delta between the two is the serving
 // tax (syscalls, framing, scheduling).
 //
-// Closed-loop: each connection keeps 2 batches in flight. On a 1-core
-// container client and server share the core, so absolute numbers are a
-// floor; the JSON records hardware_concurrency (shared schema) so
-// captures are interpretable.
+// Closed-loop: each connection keeps 2 (v1) or 8 (v2) batches in flight.
+// Client threads and server loops share the host's cores, so the JSON
+// records hardware_concurrency (shared schema) to keep captures
+// interpretable.
 //
-// Usage: throughput_net [-n REQUESTS] [--quick] [--json FILE]
+// Usage: throughput_net [-n REQUESTS] [--quick] [--json FILE] [--help]
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -70,8 +70,8 @@ struct Cell {
 constexpr std::uint32_t kPipeline = 2;
 // v1 correlates replies by order, so a deep window only adds head-of-line
 // latency; v2 correlates by id, so the multiplexed window can run deeper
-// and feed the server's writev coalescing. Each protocol gets the depth
-// its correlation model is built for.
+// and feed the server's per-slice reply coalescing. Each protocol gets
+// the depth its correlation model is built for.
 constexpr std::uint32_t kPipelineV2 = 8;
 constexpr std::uint32_t kWorkers = 2;
 constexpr std::uint32_t kShards = 4;
@@ -100,12 +100,25 @@ void drive_connection(std::uint16_t port, std::uint8_t protocol,
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: throughput_net [-n REQUESTS] [--quick] [--json FILE] [--help]\n";
+
 int main(int argc, char** argv) {
-  bench::Options opt = bench::Options::parse(argc, argv);
+  bench::Options opt;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--quick") == 0) {
+      opt.quick = true;
+      opt.requests = 300000;
+    } else if (std::strcmp(argv[i], "-n") == 0 && i + 1 < argc) {
+      opt.requests = std::strtoull(argv[++i], nullptr, 10);
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--help") == 0 ||
+               std::strcmp(argv[i], "-h") == 0) {
+      bench::exit_usage(kUsage);
+    } else {
+      bench::exit_usage(kUsage, argv[i]);
     }
   }
 
@@ -187,7 +200,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "network serving throughput (loopback), " << stream.size()
-            << " requests/cell, shards " << kShards << ", workers "
+            << " requests/cell, shards " << kShards << ", server loops "
             << kWorkers << ", pipeline " << kPipeline
             << " (v1) / " << kPipelineV2 << " (v2 multiplexed)"
             << ", hardware threads: " << std::thread::hardware_concurrency()

@@ -16,7 +16,7 @@
 // their zipf_s.
 //
 // Usage: throughput_runtime [-n REQUESTS] [--quick] [--json FILE]
-//                           [--zipf-s S1,S2,...]
+//                           [--zipf-s S1,S2,...] [--help]
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -84,6 +84,10 @@ std::vector<double> parse_double_list(const char* arg) {
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: throughput_runtime [-n REQUESTS] [--quick] [--json FILE]\n"
+    "                          [--zipf-s S1,S2,...] [--help]\n";
+
 int main(int argc, char** argv) {
   bench::Options opt;
   std::string json_path;
@@ -104,6 +108,11 @@ int main(int argc, char** argv) {
                   << e.what() << "\n";
         return 1;
       }
+    } else if (std::strcmp(argv[i], "--help") == 0 ||
+               std::strcmp(argv[i], "-h") == 0) {
+      bench::exit_usage(kUsage);
+    } else {
+      bench::exit_usage(kUsage, argv[i]);
     }
   }
 

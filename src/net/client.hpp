@@ -89,9 +89,9 @@ class Client {
   // the cost of discarding the drained ACCESS replies' contents.
   //
   // v2: ids make the drain unnecessary for correlation, but the sync
-  // RPCs still drain first so their v1 barrier semantics hold — a v2
-  // server completes a connection's requests out of order, so FLUSH
-  // would otherwise race the ACCESS batches sent before it.
+  // RPCs still drain first so their v1 barrier semantics hold — the v2
+  // contract lets a server complete a connection's requests in any
+  // order, so FLUSH could otherwise race the ACCESS batches before it.
 
   /// PING/PONG round trip; throws if the server misbehaves.
   void ping();
@@ -205,9 +205,9 @@ struct ReplayOptions {
   /// fire). At each point the batch is split so the boundary is exact
   /// and the in-flight window is drained first, so the FLUSH lands
   /// between the last request before it and the first after — on v2,
-  /// where the server completes requests out of order, that drain is
-  /// what makes the clear point exact. The single-point case is the
-  /// classic warm-up discard.
+  /// whose contract lets a server complete requests in any order, that
+  /// drain is what keeps the clear point exact. The single-point case is
+  /// the classic warm-up discard.
   std::vector<std::size_t> clear_points;
   /// Open-loop pacing: time between batch launches (0 = closed loop).
   std::chrono::nanoseconds batch_interval{0};

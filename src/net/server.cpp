@@ -1,21 +1,18 @@
 #include "net/server.hpp"
 
-#include <fcntl.h>
-#include <limits.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
-#include <cassert>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <mutex>
 #include <system_error>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 namespace icgmm::net {
@@ -31,11 +28,10 @@ void set_nodelay(int fd) noexcept {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-/// Framed replies coalesced per writev syscall. IOV_MAX (1024 on Linux)
-/// is the kernel's hard cap; 64 keeps the iovec array a small stack
-/// object and already covers every pipeline depth the drivers use — the
-/// flush loop just issues another writev for deeper backlogs.
-constexpr std::size_t kIovBatch = IOV_MAX < 64 ? IOV_MAX : 64;
+void wake(int event_fd) noexcept {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] ssize_t n = ::write(event_fd, &one, sizeof(one));
+}
 
 std::uint64_t now_ns() noexcept {
   return static_cast<std::uint64_t>(
@@ -46,47 +42,56 @@ std::uint64_t now_ns() noexcept {
 
 }  // namespace
 
-/// Per-connection state. The I/O thread owns `in` (the partial byte
-/// stream) exclusively; everything under `mu` is shared between the I/O
-/// thread and whichever worker currently has the connection scheduled.
+/// Per-connection state, touched only by the loop that owns it.
 struct Server::Connection {
   explicit Connection(int fd_in) : fd(fd_in) {}
-  ~Connection() {
-    if (fd >= 0) ::close(fd);
-  }
+  ~Connection() { ::close(fd); }
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
   const int fd;
+  std::vector<std::uint8_t> in;   ///< partial inbound byte stream
+  std::vector<std::uint8_t> out;  ///< framed replies, in request order
+  std::size_t out_off = 0;        ///< bytes of `out` already sent
+  /// End offsets in `out` of its v2 replies; the first v2_sent are out.
+  std::vector<std::size_t> v2_ends;
+  std::size_t v2_sent = 0;
+  std::uint32_t events = EPOLLIN;  ///< the registered epoll mask
+  bool eof = false;     ///< peer FIN seen: close once the replies are out
+  bool paused = false;  ///< EPOLLIN dropped for backpressure
 
-  /// Partial inbound byte stream; I/O thread only.
-  std::vector<std::uint8_t> in;
+  std::size_t unsent() const noexcept { return out.size() - out_off; }
+};
 
-  std::mutex mu;
-  // --- guarded by mu ---
-  std::deque<std::vector<std::uint8_t>> inbox;  ///< v1 frames, arrival order
-  std::vector<std::uint8_t> out;                ///< v1 pending reply bytes
-  std::size_t out_off = 0;
-  /// v2 framed replies in completion order, drained by vectored writev.
-  std::deque<std::vector<std::uint8_t>> outbox;
-  std::size_t outbox_off = 0;  ///< bytes of outbox.front() already sent
-  /// v2 requests dispatched to the pool and not yet completed. The worker
-  /// that takes this to zero flushes the outbox — so concurrent
-  /// completions coalesce into one writev instead of racing the socket.
-  std::uint32_t v2_pending = 0;
-  bool scheduled = false;   ///< v1 inbox queued or being drained by a worker
-  bool want_write = false;  ///< EPOLLOUT armed
-  bool eof = false;         ///< peer FIN seen; close once drained
-  bool dead = false;        ///< deregistered; drop work, never write
+/// One event loop: its thread, epoll set, eventfd and connections.
+struct alignas(64) Server::Loop {
+  std::thread thread;
+  int epoll_fd = -1;
+  int wake_fd = -1;  ///< eventfd: socket handoffs and stop()
+  std::unordered_map<int, std::unique_ptr<Connection>> conns;  ///< by fd
+  std::vector<Frame> frames;  ///< the current read slice (views into `in`)
+  std::uint64_t trace_tick = 0;
 
-  bool drained() const {  // call with mu held
-    return inbox.empty() && !scheduled && v2_pending == 0 && outbox.empty() &&
-           out_off >= out.size();
-  }
+  /// Sockets loop 0 accepted for this loop and it has not adopted yet.
+  std::mutex handoff_mu;
+  std::vector<int> handoff;
+
+  // Written by this loop only; stats() sums them over loops.
+  std::atomic<std::uint64_t> frames_served{0};
+  std::atomic<std::uint64_t> requests_served{0};
+  std::atomic<std::uint64_t> protocol_errors{0};
+  std::atomic<std::uint64_t> error_replies{0};
+  std::atomic<std::uint64_t> writev_calls{0};
+  std::atomic<std::uint64_t> writev_replies{0};
+  std::atomic<std::uint64_t> backpressure_pauses{0};
 };
 
 Server::Server(runtime::Runtime& rt, ServerConfig cfg)
     : rt_(rt), cfg_(cfg) {
+  const std::uint32_t loops = cfg_.workers > 1 ? cfg_.workers : 1;
+  for (std::uint32_t i = 0; i < loops; ++i) {
+    loops_.push_back(std::make_unique<Loop>());
+  }
   if (cfg_.metrics != nullptr) {
     if (cfg_.trace_sample != 0) {
       stage_decode_ =
@@ -108,6 +113,8 @@ Server::Server(runtime::Runtime& rt, ServerConfig cfg)
           out.push_back({"icgmm_server_error_replies", s.error_replies});
           out.push_back({"icgmm_server_writev_calls", s.writev_calls});
           out.push_back({"icgmm_server_writev_replies", s.writev_replies});
+          out.push_back(
+              {"icgmm_server_backpressure_pauses", s.backpressure_pauses});
         });
   }
 }
@@ -120,10 +127,10 @@ Server::~Server() {
   stop();
 }
 
-bool Server::should_trace() noexcept {
+bool Server::should_trace(Loop& loop) noexcept {
   const std::uint32_t n = cfg_.trace_sample;
   if (n <= 1) return n == 1;
-  return trace_tick_.fetch_add(1, std::memory_order_relaxed) % n == 0;
+  return loop.trace_tick++ % n == 0;
 }
 
 void Server::start() {
@@ -133,11 +140,18 @@ void Server::start() {
   } catch (...) {
     // Partial setup (e.g. bind EADDRINUSE after socket()) must not leak
     // fds — a caller retrying ports would otherwise creep toward EMFILE.
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-    if (wake_fd_ >= 0) ::close(wake_fd_);
-    listen_fd_ = epoll_fd_ = wake_fd_ = -1;
+    close_fds();
     throw;
+  }
+}
+
+void Server::close_fds() noexcept {
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+  listen_fd_ = -1;
+  for (const std::unique_ptr<Loop>& loop : loops_) {
+    if (loop->epoll_fd >= 0) ::close(loop->epoll_fd);
+    if (loop->wake_fd >= 0) ::close(loop->wake_fd);
+    loop->epoll_fd = loop->wake_fd = -1;
   }
 }
 
@@ -164,115 +178,112 @@ void Server::start_impl() {
   }
   port_ = ntohs(addr.sin_port);
 
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) throw_errno("epoll_create1");
-  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (wake_fd_ < 0) throw_errno("eventfd");
-
+  for (const std::unique_ptr<Loop>& loop : loops_) {
+    loop->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+    if (loop->epoll_fd < 0) throw_errno("epoll_create1");
+    loop->wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+    if (loop->wake_fd < 0) throw_errno("eventfd");
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = loop->wake_fd;
+    if (::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->wake_fd, &ev) < 0) {
+      throw_errno("epoll_ctl(wake)");
+    }
+  }
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.fd = listen_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) < 0) {
+  if (::epoll_ctl(loops_[0]->epoll_fd, EPOLL_CTL_ADD, listen_fd_, &ev) < 0) {
     throw_errno("epoll_ctl(listen)");
-  }
-  ev.data.fd = wake_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) < 0) {
-    throw_errno("epoll_ctl(wake)");
   }
 
   started_ = true;
   running_.store(true, std::memory_order_release);
-  io_thread_ = std::thread([this] { io_loop(); });
-  workers_.reserve(cfg_.workers);
-  for (std::uint32_t i = 0; i < cfg_.workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  for (const std::unique_ptr<Loop>& loop : loops_) {
+    loop->thread = std::thread([this, l = loop.get()] { run_loop(*l); });
   }
 }
 
 void Server::stop() {
   if (!started_) return;
   running_.store(false, std::memory_order_release);
-  const std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-  if (io_thread_.joinable()) io_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      queue_.push_back(Work{});  // stop tokens (null conn)
-    }
+  for (const std::unique_ptr<Loop>& loop : loops_) wake(loop->wake_fd);
+  for (const std::unique_ptr<Loop>& loop : loops_) {
+    if (loop->thread.joinable()) loop->thread.join();
   }
-  queue_cv_.notify_all();
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
+  // Sockets handed to a loop that exited before adopting them.
+  for (const std::unique_ptr<Loop>& loop : loops_) {
+    for (const int fd : loop->handoff) ::close(fd);
+    closed_.fetch_add(loop->handoff.size(), std::memory_order_relaxed);
+    loop->handoff.clear();
   }
-  workers_.clear();
-  {
-    std::lock_guard<std::mutex> lock(close_mu_);
-    close_queue_.clear();  // entries are still in conns_, closed below
-  }
-  closed_.fetch_add(conns_.size(), std::memory_order_relaxed);
-  conns_.clear();  // destructors close the sockets
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  listen_fd_ = epoll_fd_ = wake_fd_ = -1;
+  close_fds();
   started_ = false;
 }
 
 ServerStats Server::stats() const noexcept {
-  return {.connections_accepted = accepted_.load(std::memory_order_relaxed),
-          .connections_closed = closed_.load(std::memory_order_relaxed),
-          .frames_served = frames_.load(std::memory_order_relaxed),
-          .requests_served = requests_.load(std::memory_order_relaxed),
-          .protocol_errors = protocol_errors_.load(std::memory_order_relaxed),
-          .error_replies = error_replies_.load(std::memory_order_relaxed),
-          .writev_calls = writev_calls_.load(std::memory_order_relaxed),
-          .writev_replies = writev_replies_.load(std::memory_order_relaxed)};
+  ServerStats s{
+      .connections_accepted = accepted_.load(std::memory_order_relaxed),
+      .connections_closed = closed_.load(std::memory_order_relaxed)};
+  const auto get = [](const std::atomic<std::uint64_t>& c) {
+    return c.load(std::memory_order_relaxed);
+  };
+  for (const std::unique_ptr<Loop>& loop : loops_) {
+    s.frames_served += get(loop->frames_served);
+    s.requests_served += get(loop->requests_served);
+    s.protocol_errors += get(loop->protocol_errors);
+    s.error_replies += get(loop->error_replies);
+    s.writev_calls += get(loop->writev_calls);
+    s.writev_replies += get(loop->writev_replies);
+    s.backpressure_pauses += get(loop->backpressure_pauses);
+  }
+  return s;
 }
 
-void Server::io_loop() {
+void Server::run_loop(Loop& loop) {
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   while (running_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, -1);
+    const int n = ::epoll_wait(loop.epoll_fd, events, kMaxEvents, -1);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // epoll fd gone — shutting down
     }
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
-      if (fd == wake_fd_) {
+      if (fd == loop.wake_fd) {
         std::uint64_t drain;
-        while (::read(wake_fd_, &drain, sizeof(drain)) > 0) {
+        [[maybe_unused]] ssize_t r =
+            ::read(loop.wake_fd, &drain, sizeof(drain));
+        std::vector<int> adopted;
+        {
+          std::lock_guard<std::mutex> lock(loop.handoff_mu);
+          adopted.swap(loop.handoff);
         }
+        for (const int s : adopted) adopt(loop, s);
         continue;  // running_ re-checked by the loop condition
       }
       if (fd == listen_fd_) {
-        accept_ready();
+        accept_ready(loop);
         continue;
       }
-      const auto it = conns_.find(fd);
-      if (it == conns_.end()) continue;  // closed earlier this wake-up
-      const ConnPtr conn = it->second;
+      const auto it = loop.conns.find(fd);
+      if (it == loop.conns.end()) continue;
+      Connection& conn = *it->second;
       if (events[i].events & (EPOLLERR | EPOLLHUP)) {
-        close_connection(conn);
-        continue;
+        close_connection(loop, conn);
+      } else if (events[i].events & EPOLLIN) {
+        read_ready(loop, conn);
+      } else if (events[i].events & EPOLLOUT) {
+        settle(loop, conn);
       }
-      if (events[i].events & EPOLLOUT) write_ready(conn);
-      if (events[i].events & EPOLLIN) read_ready(conn);
     }
-    // Close EOF'd connections whose drain completed since the last wake
-    // (queued by flush_writes from a worker, signalled via wake_fd_).
-    std::vector<ConnPtr> to_close;
-    {
-      std::lock_guard<std::mutex> lock(close_mu_);
-      to_close.swap(close_queue_);
-    }
-    for (const ConnPtr& conn : to_close) close_connection(conn);
   }
+  closed_.fetch_add(loop.conns.size(), std::memory_order_relaxed);
+  loop.conns.clear();  // destructors close the sockets
 }
 
-void Server::accept_ready() {
+void Server::accept_ready(Loop& loop) {
   while (true) {
     const int fd =
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -286,269 +297,155 @@ void Server::accept_ready() {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
       return;
     }
-    if (conns_.size() >= cfg_.max_connections) {
+    if (accepted_.load(std::memory_order_relaxed) -
+            closed_.load(std::memory_order_relaxed) >=
+        cfg_.max_connections) {
       ::close(fd);  // at capacity: refuse
       continue;
     }
-    set_nodelay(fd);
-    auto conn = std::make_shared<Connection>(fd);
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      continue;  // conn destructor closes fd
-    }
-    conns_.emplace(fd, std::move(conn));
     accepted_.fetch_add(1, std::memory_order_relaxed);
-    if (cfg_.events != nullptr) {
-      cfg_.events->emit(obs::EventType::kConnOpen,
-                        static_cast<std::uint64_t>(fd));
+    Loop& owner = *loops_[next_loop_++ % loops_.size()];
+    if (&owner == &loop) {
+      adopt(loop, fd);
+      continue;
     }
+    {
+      std::lock_guard<std::mutex> lock(owner.handoff_mu);
+      owner.handoff.push_back(fd);
+    }
+    wake(owner.wake_fd);
   }
 }
 
-void Server::read_ready(const ConnPtr& conn) {
+void Server::adopt(Loop& loop, int fd) {
+  set_nodelay(fd);
+  auto conn = std::make_unique<Connection>(fd);
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, fd, &ev) < 0) {
+    closed_.fetch_add(1, std::memory_order_relaxed);
+    return;  // conn destructor closes fd
+  }
+  loop.conns.emplace(fd, std::move(conn));
+  if (cfg_.events != nullptr) {
+    cfg_.events->emit(obs::EventType::kConnOpen,
+                      static_cast<std::uint64_t>(fd));
+  }
+}
+
+void Server::read_ready(Loop& loop, Connection& conn) {
   // Drain the socket (level-triggered epoll would re-notify, but fewer
   // wake-ups means fewer epoll_wait syscalls under load).
   char buf[16 * 1024];
-  bool eof = false;
   while (true) {
-    const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
+    const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
     if (n > 0) {
-      conn->in.insert(conn->in.end(), buf, buf + n);
-      if (conn->in.size() > kHeaderBytesV2 + kMaxPayload + sizeof(buf)) {
-        break;  // stop reading; frame the backlog first
+      conn.in.insert(conn.in.end(), buf, buf + n);
+      if (conn.in.size() > kHeaderBytesV2 + kMaxPayload + sizeof(buf)) {
+        break;  // stop reading; serve the backlog first
       }
       continue;
     }
-    if (n == 0) {
-      eof = true;
-      break;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    eof = true;  // hard socket error
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (n < 0 && errno == EINTR) continue;
+    // FIN or hard socket error. A client that pipelines requests and then
+    // half-closes is still owed its replies: close once they are out.
+    conn.eof = true;
     break;
   }
 
-  // Slice complete frames off the stream front, dispatching each by the
-  // version it arrived with: v1 into the order-preserving inbox, v2 as
-  // an individual work item any worker may complete.
-  const bool trace_decode = stage_decode_ != nullptr && should_trace();
+  // Slice every complete frame off the stream front. One decode sample
+  // covers the whole slice — framing cost per socket drain, not per frame.
+  const bool trace_decode = stage_decode_ != nullptr && should_trace(loop);
   const std::uint64_t decode_start = trace_decode ? now_ns() : 0;
+  loop.frames.clear();
   std::size_t off = 0;
   bool poisoned = false;
-  bool got_v1 = false;
-  bool got_v2_inline = false;
-  std::size_t v2_dispatched = 0;
   while (true) {
     Frame frame;
     std::size_t consumed = 0;
     const DecodeStatus st = decode_frame(
-        std::span<const std::uint8_t>(conn->in).subspan(off), frame, consumed);
+        std::span<const std::uint8_t>(conn.in).subspan(off), frame, consumed);
     if (st == DecodeStatus::kNeedMore) break;
     if (st != DecodeStatus::kOk) {
       poisoned = true;
       break;
     }
-    const auto frame_bytes =
-        std::span<const std::uint8_t>(conn->in).subspan(off, consumed);
-    if (frame.header.version == kProtocolV2 && !workers_.empty()) {
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        ++conn->v2_pending;
-      }
-      {
-        std::lock_guard<std::mutex> lock(queue_mu_);
-        queue_.push_back(Work{
-            conn,
-            std::vector<std::uint8_t>(frame_bytes.begin(), frame_bytes.end()),
-            stage_queue_ != nullptr && should_trace() ? now_ns() : 0});
-      }
-      ++v2_dispatched;
-    } else if (frame.header.version == kProtocolV2) {
-      // Inline mode: complete in arrival order on the I/O thread; the
-      // replies still coalesce into one writev after the slice loop.
-      std::vector<std::uint8_t> reply;
-      serve_frame(frame_bytes, reply);
-      frames_.fetch_add(1, std::memory_order_relaxed);
-      if (!reply.empty()) {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        conn->outbox.push_back(std::move(reply));
-      }
-      got_v2_inline = true;
-    } else {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->inbox.emplace_back(frame_bytes.begin(), frame_bytes.end());
-      got_v1 = true;
-    }
+    loop.frames.push_back(frame);
     off += consumed;
   }
-  if (off > 0) conn->in.erase(conn->in.begin(), conn->in.begin() + off);
-
-  // One decode sample covers the whole slice loop of this read batch —
-  // framing cost per socket drain, not per frame.
-  if (trace_decode && (got_v1 || got_v2_inline || v2_dispatched > 0)) {
+  if (trace_decode && !loop.frames.empty()) {
     stage_decode_->record(now_ns() - decode_start);
   }
-  if (v2_dispatched == 1) {
-    queue_cv_.notify_one();
-  } else if (v2_dispatched > 1) {
-    queue_cv_.notify_all();
+
+  // Serve the slice in arrival order. A frame's queue stage is its wait
+  // behind the earlier frames of its own slice.
+  const std::uint64_t sliced_ns = stage_queue_ != nullptr ? now_ns() : 0;
+  for (const Frame& frame : loop.frames) {
+    if (stage_queue_ != nullptr && should_trace(loop)) {
+      stage_queue_->record(now_ns() - sliced_ns);
+    }
+    const std::size_t before = conn.out.size();
+    serve_frame(loop, frame, conn.out);
+    if (frame.header.version == kProtocolV2 && conn.out.size() > before) {
+      conn.v2_ends.push_back(conn.out.size());
+    }
   }
+  loop.frames_served.fetch_add(loop.frames.size(), std::memory_order_relaxed);
+  loop.frames.clear();  // the views die with the erase below
+  if (off > 0) conn.in.erase(conn.in.begin(), conn.in.begin() + off);
+
   if (poisoned) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    loop.protocol_errors.fetch_add(1, std::memory_order_relaxed);
     if (cfg_.events != nullptr) {
       cfg_.events->emit(obs::EventType::kProtocolError,
-                        static_cast<std::uint64_t>(conn->fd));
+                        static_cast<std::uint64_t>(conn.fd));
     }
-    close_connection(conn);
+    close_connection(loop, conn);
     return;
   }
-  if (got_v1) {
-    if (workers_.empty()) {
-      serve_connection(conn);  // inline mode
-    } else {
-      enqueue_ready(conn);
-    }
+  settle(loop, conn);
+}
+
+void Server::settle(Loop& loop, Connection& conn) {
+  if (!flush(loop, conn) || (conn.eof && conn.unsent() == 0)) {
+    close_connection(loop, conn);
+    return;
   }
-  if (got_v2_inline) flush_writes(conn);
-  if (eof) {
-    // A client that pipelines requests and then half-closes (FIN) is
-    // still owed its replies. Close immediately only if nothing is
-    // pending; otherwise mark eof and silence EPOLLIN — a half-closed
-    // socket stays permanently readable, so leaving it armed would spin
-    // the level-triggered loop at 100% CPU while a worker drains. The
-    // drain's final flush_writes requeues the close through wake_fd_.
-    bool drained;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      drained = conn->drained();
-      if (!drained) {
-        conn->eof = true;
-        epoll_event ev{};
-        ev.events = conn->want_write ? static_cast<std::uint32_t>(EPOLLOUT) : 0u;
-        ev.data.fd = conn->fd;
-        ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
-      }
-    }
-    if (drained) close_connection(conn);
+  if (conn.unsent() == 0) {
+    conn.paused = false;  // drained: read again
+  } else if (!conn.paused && conn.unsent() > kMaxUnsentReplyBytes) {
+    conn.paused = true;
+    loop.backpressure_pauses.fetch_add(1, std::memory_order_relaxed);
+  }
+  // Never arm EPOLLIN on a half-closed socket: it is permanently
+  // readable and would spin the level-triggered loop.
+  const std::uint32_t want =
+      (conn.eof || conn.paused ? 0u : static_cast<std::uint32_t>(EPOLLIN)) |
+      (conn.unsent() > 0 ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
+  if (want == conn.events) return;
+  epoll_event ev{};
+  ev.events = want;
+  ev.data.fd = conn.fd;
+  if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev) == 0) {
+    conn.events = want;
   }
 }
 
-void Server::enqueue_ready(const ConnPtr& conn) {
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->scheduled || conn->inbox.empty() || conn->dead) return;
-    conn->scheduled = true;
-  }
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    queue_.push_back(Work{
-        conn, {}, stage_queue_ != nullptr && should_trace() ? now_ns() : 0});
-  }
-  queue_cv_.notify_one();
-}
-
-void Server::write_ready(const ConnPtr& conn) { flush_writes(conn); }
-
-void Server::close_connection(const ConnPtr& conn) {
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->dead) return;
-    conn->dead = true;
-  }
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-  conns_.erase(conn->fd);
+void Server::close_connection(Loop& loop, Connection& conn) {
+  const int fd = conn.fd;
+  ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
   closed_.fetch_add(1, std::memory_order_relaxed);
   if (cfg_.events != nullptr) {
     cfg_.events->emit(obs::EventType::kConnClose,
-                      static_cast<std::uint64_t>(conn->fd));
+                      static_cast<std::uint64_t>(fd));
   }
-  // The socket itself closes when the last reference (possibly a worker
-  // mid-drain) drops — never before, so the fd number cannot be reused
-  // while a worker might still write to it.
+  loop.conns.erase(fd);  // destroys conn, closing the socket
 }
 
-void Server::worker_loop() {
-  while (true) {
-    Work work;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [this] { return !queue_.empty(); });
-      work = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    if (!work.conn) return;  // stop token
-    if (work.enqueue_ns != 0 && stage_queue_ != nullptr) {
-      stage_queue_->record(now_ns() - work.enqueue_ns);
-    }
-    if (work.frame.empty()) {
-      serve_connection(work.conn);  // v1: drain the inbox in order
-    } else {
-      serve_v2_frame(work.conn, work.frame);  // v2: one request, any order
-    }
-  }
-}
-
-void Server::serve_v2_frame(const ConnPtr& conn,
-                            std::span<const std::uint8_t> frame_bytes) {
-  bool dead;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    dead = conn->dead;
-  }
-  std::vector<std::uint8_t> reply;
-  if (!dead) {
-    serve_frame(frame_bytes, reply);
-    frames_.fetch_add(1, std::memory_order_relaxed);
-  }
-  bool last_completer;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (!reply.empty() && !conn->dead) {
-      conn->outbox.push_back(std::move(reply));
-    }
-    --conn->v2_pending;
-    // Only the completion that empties the in-flight set flushes: every
-    // sibling reply finished in the meantime rides the same writev, and
-    // two workers never contend on send() for one socket.
-    last_completer = conn->v2_pending == 0;
-  }
-  if (last_completer) flush_writes(conn);
-}
-
-void Server::serve_connection(const ConnPtr& conn) {
-  std::vector<std::uint8_t> reply;
-  while (true) {
-    std::vector<std::uint8_t> frame_bytes;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->inbox.empty() || conn->dead) {
-        conn->scheduled = false;
-        break;
-      }
-      frame_bytes = std::move(conn->inbox.front());
-      conn->inbox.pop_front();
-    }
-    reply.clear();
-    serve_frame(frame_bytes, reply);
-    frames_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->out.insert(conn->out.end(), reply.begin(), reply.end());
-    }
-  }
-  flush_writes(conn);
-}
-
-void Server::serve_frame(std::span<const std::uint8_t> frame_bytes,
+void Server::serve_frame(Loop& loop, const Frame& frame,
                          std::vector<std::uint8_t>& out) {
-  Frame frame;
-  std::size_t consumed = 0;
-  const DecodeStatus st = decode_frame(frame_bytes, frame, consumed);
-  assert(st == DecodeStatus::kOk);  // read_ready only enqueues whole frames
-  if (st != DecodeStatus::kOk) return;
   // Replies go back in the version (and with the id) the request carried.
   const std::uint64_t seq = frame.header.seq;
   const std::uint8_t version = frame.header.version;
@@ -575,11 +472,11 @@ void Server::serve_frame(std::span<const std::uint8_t> frame_bytes,
                          .is_write = a.is_write});
       }
       runtime::BatchOutcome outcome;
-      const bool trace_apply = stage_apply_ != nullptr && should_trace();
+      const bool trace_apply = stage_apply_ != nullptr && should_trace(loop);
       const std::uint64_t apply_start = trace_apply ? now_ns() : 0;
       rt_.apply_batch(batch, outcome);
       if (trace_apply) stage_apply_->record(now_ns() - apply_start);
-      requests_.fetch_add(batch.size(), std::memory_order_relaxed);
+      loop.requests_served.fetch_add(batch.size(), std::memory_order_relaxed);
       encode_access_reply(out, seq,
                           {.count = outcome.count,
                            .hits = outcome.hits,
@@ -655,7 +552,7 @@ void Server::serve_frame(std::span<const std::uint8_t> frame_bytes,
     }
 
     default:
-      error_replies_.fetch_add(1, std::memory_order_relaxed);
+      loop.error_replies.fetch_add(1, std::memory_order_relaxed);
       encode_error(out, seq,
                    {.code = ErrorCode::kUnknownType,
                     .message = std::string("not a request: ") +
@@ -664,7 +561,7 @@ void Server::serve_frame(std::span<const std::uint8_t> frame_bytes,
       return;
   }
   // A known request type whose payload failed validation.
-  error_replies_.fetch_add(1, std::memory_order_relaxed);
+  loop.error_replies.fetch_add(1, std::memory_order_relaxed);
   encode_error(out, seq,
                {.code = ErrorCode::kBadRequest,
                 .message = std::string("malformed ") +
@@ -672,119 +569,49 @@ void Server::serve_frame(std::span<const std::uint8_t> frame_bytes,
                version);
 }
 
-void Server::flush_writes(const ConnPtr& conn) {
-  const bool trace = stage_flush_ != nullptr && should_trace();
-  if (!trace) {
-    flush_writes_impl(conn);
-    return;
-  }
+bool Server::flush(Loop& loop, Connection& conn) {
+  if (conn.unsent() == 0) return true;
+  const bool trace = stage_flush_ != nullptr && should_trace(loop);
+  if (!trace) return flush_impl(loop, conn);
   const std::uint64_t start = now_ns();
-  flush_writes_impl(conn);
+  const bool ok = flush_impl(loop, conn);
   stage_flush_->record(now_ns() - start);
+  return ok;
 }
 
-void Server::flush_writes_impl(const ConnPtr& conn) {
-  std::lock_guard<std::mutex> lock(conn->mu);
-  if (conn->dead) return;
-  while (conn->out_off < conn->out.size()) {
-    const ssize_t n =
-        ::send(conn->fd, conn->out.data() + conn->out_off,
-               conn->out.size() - conn->out_off, MSG_NOSIGNAL);
+bool Server::flush_impl(Loop& loop, Connection& conn) {
+  std::uint64_t calls = 0;
+  std::uint64_t replies = 0;
+  bool ok = true;
+  while (conn.unsent() > 0) {
+    const ssize_t n = ::send(conn.fd, conn.out.data() + conn.out_off,
+                             conn.unsent(), MSG_NOSIGNAL);
     if (n > 0) {
-      conn->out_off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!conn->want_write) {
-        epoll_event ev{};
-        // Never re-arm EPOLLIN on a half-closed socket (permanently
-        // readable — it would spin the level-triggered loop).
-        ev.events = (conn->eof ? 0u : static_cast<std::uint32_t>(EPOLLIN)) |
-                    EPOLLOUT;
-        ev.data.fd = conn->fd;
-        if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev) == 0) {
-          conn->want_write = true;
-        }
-      }
-      return;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return;  // peer went away; epoll reports ERR/HUP and the I/O thread closes
-  }
-  conn->out.clear();
-  conn->out_off = 0;
-  // v2 outbox: one vectored writev per syscall, coalescing up to
-  // kIovBatch framed replies (IOV_MAX-capped). The front entry may be
-  // partially sent from an earlier backpressured flush (outbox_off).
-  while (!conn->outbox.empty()) {
-    iovec iov[kIovBatch];
-    std::size_t cnt = 0;
-    for (const std::vector<std::uint8_t>& reply : conn->outbox) {
-      const std::size_t skip = cnt == 0 ? conn->outbox_off : 0;
-      iov[cnt].iov_base = const_cast<std::uint8_t*>(reply.data()) + skip;
-      iov[cnt].iov_len = reply.size() - skip;
-      if (++cnt == kIovBatch) break;
-    }
-    const ssize_t n = ::writev(conn->fd, iov, static_cast<int>(cnt));
-    if (n > 0) {
-      writev_calls_.fetch_add(1, std::memory_order_relaxed);
-      std::size_t advanced = static_cast<std::size_t>(n);
-      while (advanced > 0) {
-        const std::size_t left =
-            conn->outbox.front().size() - conn->outbox_off;
-        if (advanced < left) {
-          conn->outbox_off += advanced;
-          break;
-        }
-        advanced -= left;
-        conn->outbox.pop_front();
-        conn->outbox_off = 0;
-        writev_replies_.fetch_add(1, std::memory_order_relaxed);
+      conn.out_off += static_cast<std::size_t>(n);
+      if (conn.v2_sent < conn.v2_ends.size()) ++calls;
+      while (conn.v2_sent < conn.v2_ends.size() &&
+             conn.v2_ends[conn.v2_sent] <= conn.out_off) {
+        ++conn.v2_sent;
+        ++replies;
       }
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!conn->want_write) {
-        epoll_event ev{};
-        ev.events = (conn->eof ? 0u : static_cast<std::uint32_t>(EPOLLIN)) |
-                    EPOLLOUT;
-        ev.data.fd = conn->fd;
-        if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev) == 0) {
-          conn->want_write = true;
-        }
-      }
-      return;
-    }
     if (n < 0 && errno == EINTR) continue;
-    return;  // peer went away; epoll reports ERR/HUP and the I/O thread closes
+    // EAGAIN: the rest waits for EPOLLOUT. Anything else: the peer is gone.
+    ok = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+    break;
   }
-  if (conn->eof) {
-    // The peer already FIN'd and its last reply byte is out: hand the
-    // connection to the I/O thread for closing (never re-arm EPOLLIN on
-    // a half-closed socket — that is the busy-spin this path avoids).
-    if (conn->inbox.empty() && !conn->scheduled && conn->v2_pending == 0) {
-      request_close_locked(conn);
-    }
-    return;
+  if (conn.unsent() == 0) {
+    conn.out.clear();
+    conn.out_off = 0;
+    conn.v2_ends.clear();
+    conn.v2_sent = 0;
   }
-  if (conn->want_write) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = conn->fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev) == 0) {
-      conn->want_write = false;
-    }
+  if (calls > 0) {
+    loop.writev_calls.fetch_add(calls, std::memory_order_relaxed);
+    loop.writev_replies.fetch_add(replies, std::memory_order_relaxed);
   }
-}
-
-void Server::request_close_locked(const ConnPtr& conn) {
-  if (conn->dead) return;
-  {
-    std::lock_guard<std::mutex> lock(close_mu_);
-    close_queue_.push_back(conn);
-  }
-  const std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+  return ok;
 }
 
 }  // namespace icgmm::net

@@ -1,46 +1,37 @@
 // Epoll-based non-blocking TCP serving frontend over a runtime::Runtime.
 //
-//   clients --> accept --> per-connection read buffer --> frame decoder
-//                               |                              |
-//                               v                              v
-//                        worker pool (N threads)  <--  per-connection inbox
-//                               |
-//                               v
+//   clients --> accept (loop 0) --round robin--> loop k: epoll set
+//                                                   |
+//        per-connection read buffer --> frame decoder (one read slice)
+//                                                   |
+//                                                   v
 //                  Runtime::apply_batch(span<Access>)   (one wire batch =
-//                               |                        one span through
-//                               v                        the miss path)
-//                  per-connection write buffer --> epoll EPOLLOUT flush
+//                                                   |    one span through
+//                                                   v    the miss path)
+//        per-connection out buffer --> one send per read slice
+//                                      (EPOLLOUT resumes on EAGAIN)
 //
-// One I/O thread owns the epoll set: it accepts, reads, frames, and
-// flushes backpressured writes. What happens to a complete frame depends
-// on the protocol version it arrived with:
+// The server runs N event loops (N = max(1, workers)). Each loop owns its
+// own epoll set, eventfd and connections; a connection is touched by
+// exactly one thread for its whole life. Loop 0 also owns the listen
+// socket and assigns accepted sockets to loops round-robin by accept
+// order, handing each to its loop through that loop's eventfd.
 //
-//  * v1 frames keep the order-preserving path byte for byte: they are
-//    appended to the owning connection's inbox; a connection is
-//    scheduled onto the worker queue only when its inbox goes non-empty
-//    and it is not already scheduled, so v1 frames from one connection
-//    are always processed in arrival order by exactly one worker at a
-//    time (replies stay in request order — the v1 pipelining contract),
-//    while different connections spread across the pool.
+// A loop serves each connection to completion: it drains the socket into
+// the connection's read buffer, slices every complete frame off the
+// front, serves them in arrival order (decode, apply, encode), appends
+// each reply to the connection's single out buffer, and flushes that
+// buffer once per read slice. v1 and v2 share this one path, so replies
+// always leave in request order at any pipeline depth — v2 ids still
+// correlate them, but the server never reorders. The frame is served
+// straight from the read buffer: no copy, no queue, no other thread.
 //
-//  * v2 frames are dispatched individually: each becomes its own work
-//    item, ANY worker may complete ANY request of a connection
-//    concurrently, and each finished reply is pushed onto the
-//    connection's outbox in completion order (replies correlate by the
-//    echoed u64 request id, so order does not matter). The outbox is
-//    drained with a single vectored `writev` per syscall — up to
-//    IOV_MAX framed replies coalesced — by whichever thread completes
-//    the connection's last in-flight request (or by the I/O thread on
-//    EPOLLOUT backpressure), so a burst of pipelined requests costs one
-//    write syscall, not one per reply. Consequence worth restating:
-//    the server does NOT serialize a v2 connection's requests — two
-//    pipelined ACCESS batches may interleave at the cache. Clients that
-//    need a happens-before (e.g. a FLUSH barrier) must drain their own
-//    outstanding ids first, which Client's sync RPCs do.
-//
-// `workers = 0` processes frames inline on the I/O thread (zero
-// cross-thread handoff — the deterministic mode the loopback equivalence
-// tests use; v2 frames then complete in arrival order by construction).
+// Wire backpressure: a client that pipelines requests but stops reading
+// cannot grow server memory without limit. While a connection's unsent
+// reply bytes exceed kMaxUnsentReplyBytes its loop stops reading it (drops
+// EPOLLIN, counted in ServerStats::backpressure_pauses) and re-arms it
+// once the out buffer has fully drained; the kernel's socket buffers then
+// push back on the client.
 //
 // Framing errors (bad magic/version, oversized declared length,
 // unparseable payload) poison the byte stream: the server counts a
@@ -51,13 +42,9 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "net/protocol.hpp"
@@ -68,13 +55,16 @@
 
 namespace icgmm::net {
 
+/// Unsent reply bytes past which a connection's loop stops reading it
+/// until the client has drained every reply (see the header comment).
+inline constexpr std::size_t kMaxUnsentReplyBytes = 256 * 1024;
+
 struct ServerConfig {
   /// TCP port; 0 binds an ephemeral port (read it back via port()).
   std::uint16_t port = 0;
   /// Accept from any interface (default: loopback only).
   bool bind_any = false;
-  /// Worker threads decoding/serving frames; 0 = serve inline on the I/O
-  /// thread.
+  /// Serving event loops, each on its own thread; 0 and 1 both mean one.
   std::uint32_t workers = 1;
   std::uint32_t max_connections = 256;
   int listen_backlog = 64;
@@ -100,11 +90,14 @@ struct ServerStats {
   std::uint64_t requests_served = 0;  ///< individual accesses
   std::uint64_t protocol_errors = 0;  ///< stream-poison closes
   std::uint64_t error_replies = 0;    ///< well-framed ERROR replies
-  // Vectored reply batching (v2 connections only; both 0 on pure-v1
-  // traffic). writev_replies / writev_calls = average replies coalesced
-  // per flush syscall.
-  std::uint64_t writev_calls = 0;    ///< outbox flush syscalls issued
-  std::uint64_t writev_replies = 0;  ///< framed replies fully written by them
+  // Reply flushes of v2 connections (both 0 on pure-v1 traffic).
+  // writev_replies / writev_calls = average replies coalesced per flush
+  // syscall.
+  std::uint64_t writev_calls = 0;    ///< send syscalls carrying v2 replies
+  std::uint64_t writev_replies = 0;  ///< v2 replies fully written by them
+  /// Times a loop stopped reading a connection because its unsent reply
+  /// bytes passed kMaxUnsentReplyBytes.
+  std::uint64_t backpressure_pauses = 0;
 };
 
 class Server {
@@ -116,12 +109,12 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and spawns the I/O + worker threads. Throws
-  /// std::system_error on socket/bind failure. Not restartable.
+  /// Binds, listens, and spawns the event loops. Throws std::system_error
+  /// on socket/bind failure. Not restartable.
   void start();
 
-  /// Graceful shutdown: stop accepting, drain workers, close connections.
-  /// Idempotent; the destructor calls it.
+  /// Graceful shutdown: stop accepting, wake and join every loop, close
+  /// connections. Idempotent; the destructor calls it.
   void stop();
 
   bool running() const noexcept {
@@ -135,90 +128,47 @@ class Server {
 
  private:
   struct Connection;
-  using ConnPtr = std::shared_ptr<Connection>;
+  struct Loop;
 
   void start_impl();
-  void io_loop();
-  void worker_loop();
-  void accept_ready();
-  void read_ready(const ConnPtr& conn);
-  void write_ready(const ConnPtr& conn);
-  void close_connection(const ConnPtr& conn);
-  /// Hands a drained, EOF'd connection to the I/O thread for closing
-  /// (workers cannot touch conns_ / epoll teardown). Call with conn->mu
-  /// held.
-  void request_close_locked(const ConnPtr& conn);
-  /// Drains conn's inbox (exclusively — the scheduled flag), serving each
-  /// frame against the runtime and flushing replies. v1 path.
-  void serve_connection(const ConnPtr& conn);
-  /// Completes one v2 work item: serves the frame, pushes the reply onto
-  /// the connection's outbox, and flushes when it was the last in-flight
-  /// request (the "last completer flushes" rule — one writev covers every
-  /// reply that piled up while siblings were still being served).
-  void serve_v2_frame(const ConnPtr& conn,
-                      std::span<const std::uint8_t> frame_bytes);
+  void close_fds() noexcept;
+  void run_loop(Loop& loop);
+  /// Loop 0: accepts every pending socket and assigns it round-robin.
+  void accept_ready(Loop& loop);
+  /// Registers an accepted socket with `loop`'s epoll set (owner only).
+  void adopt(Loop& loop, int fd);
+  /// Reads one slice, serves its complete frames in arrival order and
+  /// flushes their replies.
+  void read_ready(Loop& loop, Connection& conn);
+  /// Flushes, then closes the connection if the peer is gone or it is
+  /// finished, else updates backpressure and the epoll mask.
+  void settle(Loop& loop, Connection& conn);
+  void close_connection(Loop& loop, Connection& conn);
   /// Serves one complete frame, appending the reply to `out` (framed in
   /// the version the request arrived with).
-  void serve_frame(std::span<const std::uint8_t> frame_bytes,
+  void serve_frame(Loop& loop, const Frame& frame,
                    std::vector<std::uint8_t>& out);
-  /// Sends as much buffered output as the socket accepts — the v1
-  /// contiguous buffer first, then the v2 outbox via vectored writev —
-  /// and arms EPOLLOUT for the remainder. Call with conn->mu NOT held.
-  /// flush_writes is the traced wrapper; _impl does the work.
-  void flush_writes(const ConnPtr& conn);
-  void flush_writes_impl(const ConnPtr& conn);
-  void enqueue_ready(const ConnPtr& conn);
-  /// 1-in-N sampling gate shared by every traced stage; one relaxed
-  /// fetch_add when N > 1, branch-only when N == 1.
-  bool should_trace() noexcept;
+  /// Sends as much of the out buffer as the socket accepts. Returns false
+  /// when the peer is gone. flush is the traced wrapper.
+  bool flush(Loop& loop, Connection& conn);
+  bool flush_impl(Loop& loop, Connection& conn);
+  /// 1-in-N sampling gate shared by every traced stage of one loop.
+  bool should_trace(Loop& loop) noexcept;
 
   runtime::Runtime& rt_;
   ServerConfig cfg_;
   std::uint16_t port_ = 0;
-
   int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;  ///< eventfd: kicks epoll_wait on stop()
 
   std::atomic<bool> running_{false};
   bool started_ = false;
-  std::thread io_thread_;
-  std::vector<std::thread> workers_;
+  /// Built at construction (stats() reads their counters at any time);
+  /// fds and threads exist only between start() and stop().
+  std::vector<std::unique_ptr<Loop>> loops_;
+  std::uint64_t next_loop_ = 0;  ///< round-robin cursor; loop 0 only
 
-  // Work queue. A v1 item carries an empty `frame`: "drain conn's inbox"
-  // (at most one queued per connection — the scheduled flag). A v2 item
-  // carries one owned frame: "complete this request on conn", and any
-  // number may be in flight per connection at once. conn == nullptr is a
-  // worker stop token.
-  struct Work {
-    ConnPtr conn;
-    std::vector<std::uint8_t> frame;
-    /// steady_clock nanos at enqueue when this item was sampled for
-    /// queue-wait tracing; 0 = not sampled.
-    std::uint64_t enqueue_ns = 0;
-  };
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<Work> queue_;
-
-  // Live connections, keyed by fd. I/O thread only (no lock needed).
-  std::unordered_map<int, ConnPtr> conns_;
-
-  // EOF'd connections whose last replies have been flushed; the I/O
-  // thread closes them on the next wake. Guarded by close_mu_; never
-  // locked while holding a conn->mu in the pop path (push holds conn->mu
-  // then close_mu_ — one direction only).
-  std::mutex close_mu_;
-  std::vector<ConnPtr> close_queue_;
-
-  mutable std::atomic<std::uint64_t> accepted_{0};
-  mutable std::atomic<std::uint64_t> closed_{0};
-  mutable std::atomic<std::uint64_t> frames_{0};
-  mutable std::atomic<std::uint64_t> requests_{0};
-  mutable std::atomic<std::uint64_t> protocol_errors_{0};
-  mutable std::atomic<std::uint64_t> error_replies_{0};
-  mutable std::atomic<std::uint64_t> writev_calls_{0};
-  mutable std::atomic<std::uint64_t> writev_replies_{0};
+  std::atomic<std::uint64_t> accepted_{0};
+  std::atomic<std::uint64_t> closed_{0};
 
   // Per-stage latency histograms, resolved once from cfg_.metrics at
   // construction (null when metrics are off — every trace site checks).
@@ -226,7 +176,6 @@ class Server {
   obs::ConcurrentHistogram* stage_queue_ = nullptr;
   obs::ConcurrentHistogram* stage_apply_ = nullptr;
   obs::ConcurrentHistogram* stage_flush_ = nullptr;
-  std::atomic<std::uint64_t> trace_tick_{0};
   std::uint64_t provider_id_ = 0;  ///< 0 = no provider registered
 };
 

@@ -1,12 +1,13 @@
 // Loopback end-to-end serving equivalence — the PR's acceptance bar: the
 // same trace replayed through the RPC stack (loadgen-style client ->
-// TCP -> 1-worker server -> 1-shard runtime) must produce *identical*
+// TCP -> server -> 1-shard runtime) must produce *identical*
 // hit/miss/inference counts to the in-process replay_trace driver, for a
 // classic policy and for the trained GMM policy, including the warm-up
 // discard (client-side FLUSH at the same request index replay clears
 // stats at). The V2 tests hold the same bar over the negotiated
-// multiplexed protocol, with multi-worker servers completing requests
-// out of order. Suite name starts with "Net" for the CI TSan job.
+// multiplexed protocol: the server answers one connection in arrival
+// order at any pipeline depth, so deep pipelines through a multi-loop
+// server stay exact. Suite name starts with "Net" for the CI TSan job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -185,8 +186,7 @@ TEST(NetE2E, V2MultipleClearPointsMatchInProcessReplayExactly) {
 
   for (const bool v2 : {false, true}) {
     runtime::Runtime rt(rcfg, cache::LruPolicy());
-    // Two workers on the v2 pass: the multiplexed dispatch path, with
-    // pipeline 1 keeping the ACCESS stream itself in deterministic order.
+    // Two event loops on the v2 pass, pipeline 1.
     net::Server server(rt, {.port = 0, .workers = v2 ? 2u : 1u});
     server.start();
     const net::StatsReply s =
@@ -198,14 +198,14 @@ TEST(NetE2E, V2MultipleClearPointsMatchInProcessReplayExactly) {
 }
 
 TEST(NetE2E, V2OutOfOrderCompletionsMatchInProcessReplayExactly) {
-  // The PR 4 trace-equivalence bar carried onto protocol v2 with a
-  // 2-worker server genuinely completing requests out of order: each
-  // ACCESS batch travels with a concurrent PING, so two requests from
-  // this connection are in flight at once and the PONG may overtake or
-  // trail the ACCESS reply — poll_any() absorbs either order. The ACCESS
-  // stream itself stays at window 1 (awaited before the next send), so
-  // the cache sees the exact replay_trace request order and the final
-  // counts must be exactly equal.
+  // The PR 4 trace-equivalence bar carried onto protocol v2 with two
+  // requests of this connection in flight at once: each ACCESS batch
+  // travels with a PING, and the test absorbs the PONG and the ACCESS
+  // reply in whichever order they arrive (the server answers in request
+  // order, but the client-side contract is order-free). The ACCESS stream
+  // itself stays at window 1 (awaited before the next send), so the cache
+  // sees the exact replay_trace request order and the final counts must
+  // be exactly equal.
   const trace::Trace t = test_util::zipf_trace(40000, 2048, 0.9, 0x7A);
   const runtime::RuntimeConfig rcfg{.cache = test_util::tiny_cache(64, 8),
                                     .shards = 1};
@@ -251,6 +251,71 @@ TEST(NetE2E, V2OutOfOrderCompletionsMatchInProcessReplayExactly) {
   const net::StatsReply s = client.stats();
   server.stop();
   expect_counts_match(s, replayed.run);
+}
+
+/// Replays `stream` over v2 at pipeline 8 through a 2-loop server. An
+/// idle connection is accepted first, so the replay lands on loop 1 and
+/// its socket travels through the accept handoff.
+net::StatsReply serve_v2_on_two_loops(
+    runtime::Runtime& rt, const std::vector<net::WireAccess>& stream,
+    std::size_t warmup) {
+  net::Server server(rt, {.port = 0, .workers = 2});
+  server.start();
+  net::Client idle = net::Client::connect("127.0.0.1", server.port());
+  idle.ping();
+  const net::StatsReply s = serve_stream(server.port(), stream, {warmup}, 64,
+                                         /*v2=*/true, /*pipeline=*/8);
+  server.stop();
+  return s;
+}
+
+TEST(NetE2E, V2PipelinedLruReplayOnTwoLoopsMatchesInProcessReplayExactly) {
+  // Eight ACCESS batches in flight on one connection: the loop serves
+  // them in arrival order, so the counts match the in-process replay.
+  const trace::Trace t = test_util::zipf_trace(60000, 2048, 0.9, 0x7B);
+  const runtime::RuntimeConfig rcfg{.cache = test_util::tiny_cache(64, 8),
+                                    .shards = 1};
+  runtime::ReplayConfig serve_cfg;
+  serve_cfg.threads = 1;
+  runtime::Runtime reference(rcfg, cache::LruPolicy());
+  const runtime::ReplayResult replayed =
+      runtime::replay_trace(reference, t, serve_cfg);
+
+  const std::size_t warmup = static_cast<std::size_t>(
+      serve_cfg.warmup_fraction * static_cast<double>(t.size()));
+  runtime::Runtime served_rt(rcfg, cache::LruPolicy());
+  expect_counts_match(
+      serve_v2_on_two_loops(served_rt, wire_stream(t, serve_cfg.transform),
+                            warmup),
+      replayed.run);
+}
+
+TEST(NetE2E, V2PipelinedGmmReplayOnTwoLoopsMatchesInProcessReplayExactly) {
+  const trace::Trace t = test_util::zipf_trace(60000, 2048, 0.9, 0x8B);
+  core::IcgmmConfig cfg = test_util::small_system_config();
+  cfg.engine.cache = test_util::tiny_cache(64, 8);
+  core::IcgmmSystem system(cfg);
+  system.train(t);
+  const auto strategy = cache::GmmStrategy::kCachingEviction;
+  const double threshold = system.pick_threshold(t, strategy);
+  const runtime::RuntimeConfig rcfg{.cache = cfg.engine.cache, .shards = 1};
+
+  runtime::ReplayConfig serve_cfg;
+  serve_cfg.threads = 1;
+  serve_cfg.policy_runs_on_miss = true;
+  serve_cfg.warmup_fraction = cfg.engine.warmup_fraction;
+  const auto reference = system.make_runtime(rcfg, strategy, threshold);
+  const runtime::ReplayResult replayed =
+      runtime::replay_trace(*reference, t, serve_cfg);
+
+  const std::size_t warmup = static_cast<std::size_t>(
+      std::clamp(serve_cfg.warmup_fraction, 0.0, 0.9) *
+      static_cast<double>(t.size()));
+  const auto served_rt = system.make_runtime(rcfg, strategy, threshold);
+  const net::StatsReply s = serve_v2_on_two_loops(
+      *served_rt, wire_stream(t, serve_cfg.transform), warmup);
+  expect_counts_match(s, replayed.run);
+  EXPECT_GT(s.inferences, 0u);
 }
 
 TEST(NetE2E, AdaptiveServingPublishesModelsOverTheWire) {

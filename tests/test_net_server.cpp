@@ -1,18 +1,22 @@
 // Server + Client over real loopback sockets: lifecycle, every RPC type,
-// pipelined batches, concurrent connections hammering one runtime (the
-// TSan target), malformed-stream rejection, FLUSH semantics, and the
-// connection pool. Suite name starts with "Net" so the CI thread-sanitizer
-// job picks it up via -R '^(Runtime|PolicyClone|Net)'.
+// pipelined batches, concurrent connections on several event loops
+// hammering one runtime (the TSan target), malformed-stream rejection,
+// wire backpressure, FLUSH semantics, the client's out-of-order v2
+// correlation, and the connection pool. Suite name starts with "Net" so
+// the CI thread-sanitizer job picks it up via -R '^(Runtime|PolicyClone|Net)'.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <fstream>
 #include <system_error>
 #include <thread>
 #include <vector>
@@ -121,8 +125,9 @@ TEST(NetServer, PipelinedBatchesReplyInOrder) {
 }
 
 TEST(NetServer, ConcurrentConnectionsServeOneRuntime) {
-  // The TSan-relevant test: several client threads, several workers, one
-  // shared runtime. Totals must balance exactly at quiescence.
+  // The TSan-relevant test: several client threads, three event loops
+  // (connections spread round-robin), one shared runtime. Totals must
+  // balance exactly at quiescence.
   runtime::Runtime rt(small_runtime_config(4), cache::LruPolicy());
   net::Server server(rt, {.port = 0, .workers = 3});
   server.start();
@@ -162,7 +167,7 @@ TEST(NetServer, ConcurrentConnectionsServeOneRuntime) {
 
 TEST(NetServer, InlineModeServesWithoutWorkers) {
   runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
-  net::Server server(rt, {.port = 0, .workers = 0});  // I/O-thread inline
+  net::Server server(rt, {.port = 0, .workers = 0});  // 0 = one loop, like 1
   server.start();
   net::Client client = net::Client::connect("127.0.0.1", server.port());
   const auto accesses = make_accesses(2000, 0x3);
@@ -241,8 +246,8 @@ TEST(NetServer, GarbageStreamClosesConnectionAndCountsProtocolError) {
 TEST(NetServer, RequestsBeforeClientFinStillGetReplies) {
   // A client may pipeline its last batch and half-close (FIN) before
   // reading the reply; the server must serve what arrived before the EOF
-  // and flush the replies before closing — in worker mode too, where the
-  // frame and the FIN can land in the same read.
+  // and flush the replies before closing — also when the frame and the
+  // FIN land in the same read.
   runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
   net::Server server(rt, {.port = 0, .workers = 1});
   server.start();
@@ -379,7 +384,7 @@ TEST(NetServer, V2NegotiateAndEveryRpcRoundTrips) {
   const net::AccessReply reply = client.access(accesses);
   EXPECT_EQ(reply.count, 500u);
 
-  // Pipeline a burst so the outbox actually coalesces replies.
+  // Pipeline a burst so one flush actually coalesces replies.
   std::span<const net::WireAccess> all(accesses);
   for (std::size_t off = 0; off < 500; off += 50) {
     client.send_access(all.subspan(off, 50));
@@ -398,41 +403,129 @@ TEST(NetServer, V2NegotiateAndEveryRpcRoundTrips) {
 
   const net::ServerStats ss = server.stats();
   EXPECT_EQ(ss.protocol_errors, 0u);
-  // The v2 path flushes via vectored writev; every reply above went
-  // through the outbox.
+  // Every v2 reply above left through a counted flush syscall.
   EXPECT_GT(ss.writev_calls, 0u);
   EXPECT_GE(ss.writev_replies, ss.writev_calls);
   server.stop();
 }
 
-TEST(NetServer, V2RepliesCompleteOutOfOrderAcrossWorkers) {
-  // The tentpole behavior, forced deterministically: a kMaxBatch ACCESS
-  // and a PING dispatched back to back on a 2-worker server. The PING's
-  // worker finishes in microseconds while the batch grinds through the
-  // cache, so the PONG should overtake the ACCESS reply — impossible on
-  // v1, where one worker serializes the connection's inbox in order.
-  runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
-  net::Server server(rt, {.port = 0, .workers = 2});
-  server.start();
-  net::Client client = net::Client::connect("127.0.0.1", server.port());
-  ASSERT_EQ(client.negotiate(), net::kProtocolV2);
-
-  const auto accesses = make_accesses(net::kMaxBatch, 0x22);
-  bool reordered = false;
-  for (int attempt = 0; attempt < 20 && !reordered; ++attempt) {
-    const std::uint64_t batch_id = client.send_access(accesses);
-    const std::uint64_t ping_id = client.send_ping();
-    const net::Completion first = client.poll_any();
-    const net::Completion second = client.poll_any();
-    // Both completions always arrive, whatever the order.
-    EXPECT_TRUE(first.id == batch_id || first.id == ping_id);
-    EXPECT_TRUE(second.id == batch_id || second.id == ping_id);
-    EXPECT_NE(first.id, second.id);
-    if (first.id == ping_id) reordered = true;  // PONG overtook the batch
+/// Connects a raw loopback socket (no Client framing); -1 on failure.
+int raw_connect(std::uint16_t port, int rcvbuf = 0) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  // Set before connect so the window the peer sees is small from the start.
+  if (rcvbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
   }
-  EXPECT_TRUE(reordered)
-      << "PONG never overtook a kMaxBatch ACCESS reply in 20 attempts";
-  EXPECT_EQ(client.outstanding(), 0u);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(NetServer, ClientThatNeverReadsIsPausedAndOthersStillServed) {
+  // Wire backpressure: a v2 client pipelines ACCESS batches and never
+  // reads. Its loop must stop reading it once the unsent replies pass
+  // kMaxUnsentReplyBytes, so requests_served plateaus at a fixed bound
+  // instead of tracking everything the client sent — while a second
+  // connection on the same (single) loop is still served. Once the
+  // client drains, the loop reads again and every request is answered.
+  runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
+  net::Server server(rt, {.port = 0, .workers = 1});
+  server.start();
+
+  const auto one = make_accesses(1, 0x51);
+  std::vector<std::uint8_t> reply;
+  net::encode_access_reply(reply, 1, {.count = 1}, net::kProtocolV2);
+  const std::size_t reply_bytes = reply.size();
+  // Bound on replies the server may have produced for a stalled reader:
+  // the cap, one maximal read slice (a one-access request frame is no
+  // smaller than its reply), and the kernel's socket buffers — the
+  // server's send buffer grows to at most tcp_wmem's maximum, and the
+  // client's receive buffer is pinned small (64 KiB covers it). The
+  // client sends three times that many frames, all of which an
+  // unbounded server would serve.
+  std::size_t wmem_max = 4u << 20;  // the Linux default
+  if (std::ifstream f("/proc/sys/net/ipv4/tcp_wmem"); f) {
+    std::size_t lo = 0, def = 0;
+    f >> lo >> def >> wmem_max;
+  }
+  const std::size_t bound_replies =
+      (net::kMaxUnsentReplyBytes + net::kHeaderBytesV2 + net::kMaxPayload +
+       (16u << 10) + wmem_max + (64u << 10)) /
+      reply_bytes;
+  const std::size_t frames = 3 * bound_replies;
+  std::vector<std::uint8_t> wire;
+  for (std::size_t i = 0; i < frames; ++i) {
+    net::encode_access_batch(wire, i + 1, one, net::kProtocolV2);
+  }
+
+  const int fd = raw_connect(server.port(), /*rcvbuf=*/4096);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK), 0);
+  // Send until the socket is blocked and the server has stopped serving
+  // for 300 ms: a slow server that is still working keeps the client
+  // sending, so only a paused connection ends this loop.
+  std::size_t sent = 0;
+  std::uint64_t served = 0;
+  while (sent < wire.size()) {
+    const ssize_t n =
+        ::send(fd, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK));
+    const std::uint64_t before = server.stats().requests_served;
+    pollfd p{.fd = fd, .events = POLLOUT, .revents = 0};
+    if (::poll(&p, 1, 300) == 0 &&
+        server.stats().requests_served == before) {
+      served = before;
+      break;
+    }
+  }
+  ASSERT_LT(sent, wire.size()) << "the server never pushed back";
+
+  // Plateau: requests_served stays put, below the bound.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(server.stats().requests_served, served);
+  EXPECT_LE(served, bound_replies);
+  EXPECT_GE(server.stats().backpressure_pauses, 1u);
+
+  // The same loop still serves another connection.
+  net::Client other = net::Client::connect("127.0.0.1", server.port());
+  ASSERT_EQ(other.negotiate(), net::kProtocolV2);
+  EXPECT_EQ(other.access(make_accesses(100, 0x52)).count, 100u);
+
+  // Drain: read every reply while sending the rest; the loop resumes.
+  const std::size_t want = frames * reply_bytes;
+  std::size_t got = 0;
+  std::vector<std::uint8_t> buf(64 << 10);
+  while (got < want) {
+    pollfd p{.fd = fd,
+             .events = static_cast<short>(POLLIN |
+                                          (sent < wire.size() ? POLLOUT : 0)),
+             .revents = 0};
+    ASSERT_GT(::poll(&p, 1, 5000), 0) << "stalled after " << got << " bytes";
+    if (p.revents & POLLIN) {
+      const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
+      ASSERT_GT(n, 0);
+      got += static_cast<std::size_t>(n);
+    }
+    if ((p.revents & POLLOUT) && sent < wire.size()) {
+      const ssize_t n =
+          ::send(fd, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
+      if (n > 0) sent += static_cast<std::size_t>(n);
+    }
+  }
+  EXPECT_EQ(got, want);
+  ::close(fd);
+  EXPECT_EQ(server.stats().requests_served, frames + 100);
   server.stop();
 }
 
@@ -559,6 +652,123 @@ TEST(NetClient, NegotiateFallsBackToV1WhenTheServerDropsTheProbe) {
   EXPECT_TRUE(client.connected());
   client.ping();  // the fallback connection actually works
   responder.join();
+  ::close(lfd);
+}
+
+/// Blocking read of exactly one frame from `fd`, buffering any extra bytes
+/// in `rx`. Returns false on EOF or a framing error.
+bool recv_frame(int fd, std::vector<std::uint8_t>& rx, net::Frame& frame,
+                std::vector<std::uint8_t>& bytes) {
+  while (true) {
+    std::size_t consumed = 0;
+    const net::DecodeStatus st = net::decode_frame(rx, frame, consumed);
+    if (st == net::DecodeStatus::kOk) {
+      bytes.assign(rx.begin(), rx.begin() + consumed);
+      rx.erase(rx.begin(), rx.begin() + consumed);
+      // Re-point the frame at the owned copy.
+      return net::decode_frame(bytes, frame, consumed) ==
+             net::DecodeStatus::kOk;
+    }
+    if (st != net::DecodeStatus::kNeedMore) return false;
+    std::uint8_t buf[4096];
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) return false;
+    rx.insert(rx.end(), buf, buf + n);
+  }
+}
+
+TEST(NetClient, ParksAndReturnsRepliesThatArriveInReverseOrder) {
+  // The server answers a connection in request order, but the v2 client
+  // contract is order-free: a scripted peer answers each pair of ACCESS
+  // ids in reverse, and poll_any / await_access / await_access_reply must
+  // each hand back every completion under its own id.
+  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(lfd, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  // Each ACCESS reply echoes count = the batch size and hits = the id, so
+  // the test can tell which request a reply answers.
+  constexpr int kPairs = 3;
+  std::thread peer([lfd] {
+    const int c = ::accept(lfd, nullptr, nullptr);
+    if (c < 0) return;
+    std::vector<std::uint8_t> rx, bytes, tx;
+    net::Frame frame;
+    // The negotiation probe: a v2 PING.
+    if (recv_frame(c, rx, frame, bytes)) {
+      net::encode_pong(tx, frame.header.seq, net::kProtocolV2);
+      (void)::send(c, tx.data(), tx.size(), MSG_NOSIGNAL);
+      tx.clear();
+    }
+    for (int pair = 0; pair < kPairs; ++pair) {
+      std::vector<std::uint8_t> replies[2];
+      for (std::vector<std::uint8_t>& r : replies) {
+        std::vector<net::WireAccess> batch;
+        if (!recv_frame(c, rx, frame, bytes) ||
+            net::decode_access_batch(frame, batch) != net::DecodeStatus::kOk) {
+          break;
+        }
+        net::encode_access_reply(
+            r, frame.header.seq,
+            {.count = static_cast<std::uint32_t>(batch.size()),
+             .hits = static_cast<std::uint32_t>(frame.header.seq)},
+            net::kProtocolV2);
+      }
+      tx.insert(tx.end(), replies[1].begin(), replies[1].end());
+      tx.insert(tx.end(), replies[0].begin(), replies[0].end());
+      (void)::send(c, tx.data(), tx.size(), MSG_NOSIGNAL);
+      tx.clear();
+    }
+    char drain[64];
+    (void)::recv(c, drain, sizeof(drain), 0);  // until the client closes
+    ::close(c);
+  });
+
+  net::Client client =
+      net::Client::connect("127.0.0.1", ntohs(addr.sin_port));
+  ASSERT_EQ(client.negotiate(), net::kProtocolV2);
+  const auto accesses = make_accesses(8, 0x61);
+  std::span<const net::WireAccess> all(accesses);
+
+  // poll_any: completions surface in arrival order, the later id first.
+  std::uint64_t a = client.send_access(all.subspan(0, 3));
+  std::uint64_t b = client.send_access(all.subspan(0, 5));
+  net::Completion first = client.poll_any();
+  EXPECT_EQ(first.id, b);
+  EXPECT_EQ(first.access.count, 5u);
+  EXPECT_EQ(first.access.hits, b);
+  net::Completion second = client.poll_any();
+  EXPECT_EQ(second.id, a);
+  EXPECT_EQ(second.access.count, 3u);
+  EXPECT_EQ(second.access.hits, a);
+
+  // await_access: asking for the earlier id parks the later one.
+  a = client.send_access(all.subspan(0, 2));
+  b = client.send_access(all.subspan(0, 7));
+  const net::AccessReply ra = client.await_access(a);
+  EXPECT_EQ(ra.count, 2u);
+  EXPECT_EQ(ra.hits, a);
+  EXPECT_EQ(client.outstanding(), 1u);
+  const net::AccessReply rb = client.await_access(b);  // from the park
+  EXPECT_EQ(rb.count, 7u);
+  EXPECT_EQ(rb.hits, b);
+
+  // await_access_reply: the oldest unawaited id, whatever arrives first.
+  a = client.send_access(all.subspan(0, 1));
+  b = client.send_access(all.subspan(0, 4));
+  EXPECT_EQ(client.await_access_reply().hits, a);
+  EXPECT_EQ(client.await_access_reply().hits, b);
+  EXPECT_EQ(client.outstanding(), 0u);
+
+  client.close();
+  peer.join();
   ::close(lfd);
 }
 

@@ -14,16 +14,19 @@
 //               [--record PATH] [--record-sample N] [--record-window W]
 //               [--record-ring CAP] [--record-chunk N]
 //               [--metrics-port P] [--trace-sample N]
-//               [--stats-every SECONDS] [--quiet]
+//               [--stats-every SECONDS] [--quiet] [--help]
 //
 // GMM policies train at startup on a synthetic workload (default: the
 // sysbench generator at --train-requests requests) and tune the admission
 // threshold at the 5th score percentile — the same recipe the throughput
 // bench uses. --adapt additionally runs the background drift refresher.
 //
-// --threads is the server worker pool (0 = serve inline on the I/O
-// thread, the fully deterministic mode). SIGINT/SIGTERM shut down
-// cleanly: stop accepting, drain, print a final stats line, exit 0.
+// --threads is the number of serving event loops, one thread each (0 and
+// 1 both mean one). Connections are spread over the loops round-robin by
+// accept order, and each loop serves its connections' frames in arrival
+// order. SIGINT/SIGTERM shut down cleanly: stop accepting, drain, print a
+// final stats line, exit 0. --help prints the usage and exits 0; an
+// unknown flag prints it and exits 2.
 // --stats-every prints a one-line serving report periodically.
 //
 // --async-miss (GMM policies only) turns on the asynchronous miss
@@ -88,6 +91,27 @@ volatile std::sig_atomic_t g_dump_events = 0;
 void handle_signal(int) { g_stop = 1; }
 void handle_dump(int) { g_dump_events = 1; }
 
+constexpr const char* kUsage =
+    "usage: icgmm_serve [--port P] [--bind-any] [--shards N] [--threads W]\n"
+    "                   [--policy lru|fifo|random|lfu|clock|\n"
+    "                             gmm-caching|gmm-eviction|gmm-both]\n"
+    "                   [--cache-mb MB] [--assoc WAYS]\n"
+    "                   [--train-requests N] [--train-benchmark NAME] [--seed S]\n"
+    "                   [--adapt] [--sample-every N]\n"
+    "                   [--async-miss] [--async-ring CAP]\n"
+    "                   [--scorer float|quantized]\n"
+    "                   [--shadow-policy NAME] [--shadow-ring CAP]\n"
+    "                   [--record PATH] [--record-sample N] [--record-window W]\n"
+    "                   [--record-ring CAP] [--record-chunk N]\n"
+    "                   [--metrics-port P] [--trace-sample N]\n"
+    "                   [--stats-every SECONDS] [--quiet] [--help]\n"
+    "--threads W: serving event loops (0 and 1 both mean one)\n";
+
+/// A flag parse() does not know; main() answers it with the usage, exit 2.
+struct UnknownFlag : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
 struct Args {
   std::uint16_t port = 9090;
   bool bind_any = false;
@@ -110,6 +134,7 @@ struct Args {
   std::uint32_t trace_sample = 1;
   unsigned stats_every = 10;
   bool quiet = false;
+  bool help = false;
 };
 
 Args parse(int argc, char** argv) {
@@ -145,7 +170,8 @@ Args parse(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--trace-sample")) args.trace_sample = static_cast<std::uint32_t>(std::stoul(next()));
     else if (!std::strcmp(argv[i], "--stats-every")) args.stats_every = static_cast<unsigned>(std::stoul(next()));
     else if (!std::strcmp(argv[i], "--quiet")) args.quiet = true;
-    else throw std::invalid_argument(std::string("unknown flag: ") + argv[i]);
+    else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) args.help = true;
+    else throw UnknownFlag(std::string("unknown flag: ") + argv[i]);
   }
   return args;
 }
@@ -171,9 +197,16 @@ int main(int argc, char** argv) {
   Args args;
   try {
     args = parse(argc, argv);
+  } catch (const UnknownFlag& e) {
+    std::cerr << "error: " << e.what() << "\n" << kUsage;
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
+  }
+  if (args.help) {
+    std::cout << kUsage;
+    return 0;
   }
 
   // One registry + flight recorder for the whole daemon: the runtime and
@@ -319,7 +352,7 @@ int main(int argc, char** argv) {
   // Announce the resolved port on a parseable line (CI greps for it).
   std::cout << "icgmm_serve listening on port " << server.port()
             << " (protocols v1+v2, policy " << rt->policy_name()
-            << ", shards " << args.shards << ", workers " << args.workers
+            << ", shards " << args.shards << ", loops " << args.workers
             << (args.adapt ? ", adaptive" : "")
             << (rcfg.async_miss.enabled ? ", async-miss" : "")
             << (quantized ? ", scorer quantized" : "")
