@@ -40,7 +40,7 @@ using Clock = std::chrono::steady_clock;
 constexpr std::uint32_t kWorkers = 2;
 constexpr std::uint32_t kShards = 4;
 constexpr std::uint32_t kBatch = 64;
-constexpr std::uint32_t kPipeline = 8;  // v2 multiplexed window
+constexpr std::uint32_t kPipeline = 8;
 constexpr int kReps = 5;
 
 struct Variant {
@@ -88,9 +88,6 @@ double run_once(const Variant& v, std::span<const net::WireAccess> stream,
   server.start();
 
   net::Client client = net::Client::connect("127.0.0.1", server.port());
-  if (client.negotiate() != net::kProtocolV2) {
-    throw std::runtime_error("server refused protocol v2");
-  }
   const auto t0 = Clock::now();
   net::replay_stream(client, stream, {.batch = kBatch, .pipeline = kPipeline});
   const double elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
@@ -140,7 +137,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "observability overhead (loopback, LRU, batch " << kBatch
-            << ", v2 pipeline " << kPipeline << "), " << stream.size()
+            << ", pipeline " << kPipeline << "), " << stream.size()
             << " requests/rep, best of " << kReps
             << " reps, hardware threads: "
             << std::thread::hardware_concurrency() << "\n\n";

@@ -38,38 +38,17 @@ namespace {
 
 Client::~Client() { close(); }
 
-Client::Client(Client&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      host_(std::move(other.host_)),
-      port_(other.port_),
-      version_(other.version_),
-      recv_timeout_(other.recv_timeout_),
-      next_seq_(other.next_seq_),
-      next_reply_seq_(other.next_reply_seq_),
-      outstanding_(other.outstanding_),
-      send_order_(std::move(other.send_order_)),
-      pending_access_(std::move(other.pending_access_)),
-      pending_pings_(std::move(other.pending_pings_)),
-      parked_(std::move(other.parked_)),
-      rx_(std::move(other.rx_)),
-      tx_(std::move(other.tx_)) {}
+Client::Client(Client&& other) noexcept { *this = std::move(other); }
 
 Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
-    host_ = std::move(other.host_);
-    port_ = other.port_;
-    version_ = other.version_;
     recv_timeout_ = other.recv_timeout_;
-    next_seq_ = other.next_seq_;
-    next_reply_seq_ = other.next_reply_seq_;
-    outstanding_ = other.outstanding_;
-    send_order_ = std::move(other.send_order_);
-    pending_access_ = std::move(other.pending_access_);
-    pending_pings_ = std::move(other.pending_pings_);
-    parked_ = std::move(other.parked_);
+    next_seq_ = std::exchange(other.next_seq_, 1);
+    window_ = std::move(other.window_);
     rx_ = std::move(other.rx_);
+    rx_used_ = std::exchange(other.rx_used_, 0);
     tx_ = std::move(other.tx_);
   }
   return *this;
@@ -81,15 +60,9 @@ void Client::close() noexcept {
     fd_ = -1;
   }
   rx_.clear();
-  outstanding_ = 0;
-  next_seq_ = next_reply_seq_ = 1;
-  version_ = kProtocolVersion;
-  send_order_.clear();
-  pending_access_.clear();
-  pending_pings_.clear();
-  parked_.clear();
-  // host_/port_/recv_timeout_ survive: they are endpoint configuration,
-  // not stream state, and negotiate()'s reconnect needs them.
+  rx_used_ = 0;
+  next_seq_ = 1;
+  window_.clear();
 }
 
 Client Client::connect(const std::string& host, std::uint16_t port) {
@@ -115,8 +88,6 @@ Client Client::connect(const std::string& host, std::uint16_t port) {
 
   Client c;
   c.fd_ = fd;
-  c.host_ = host;
-  c.port_ = port;
   return c;
 }
 
@@ -140,39 +111,12 @@ void Client::apply_recv_timeout() {
 }
 
 std::uint8_t Client::negotiate() {
-  if (version_ == kProtocolV2) return version_;
-  drain_outstanding();
-  const std::uint64_t id = next_seq_++;
-  tx_.clear();
-  encode_ping(tx_, id, kProtocolV2);
-  try {
-    send_all(tx_);
-    std::vector<std::uint8_t> bytes = recv_frame();
-    Frame frame;
-    std::size_t consumed = 0;
-    if (decode_frame(bytes, frame, consumed) != DecodeStatus::kOk ||
-        frame.header.version != kProtocolV2 ||
-        frame.header.type != MsgType::kPong || frame.header.seq != id) {
-      // The server answered the probe with something other than a v2
-      // PONG echo — treat it like a v1-only server (fall through to the
-      // reconnect below via the catch).
-      close();
-      throw std::runtime_error("Client: unexpected negotiate reply");
-    }
-    version_ = kProtocolV2;
-  } catch (const std::exception&) {
-    // v1-only server: the v2 frame is stream poison there, so the server
-    // counted a protocol error and dropped the connection. Reconnect to
-    // the same endpoint and stay on v1 — the caller never sees the probe.
-    const std::chrono::milliseconds timeout = recv_timeout_;
-    *this = Client::connect(host_, port_);
-    if (timeout.count() > 0) set_recv_timeout(timeout);
-  }
-  return version_;
+  ping();
+  return kProtocolV2;
 }
 
 // Transport-level failures (socket errors, EOF, receive deadline expiry,
-// undecodable or out-of-sequence reply streams) leave the connection
+// undecodable replies or replies to ids never sent) leave the connection
 // unusable: close it before throwing so connected() turns false and
 // ClientPool's lazy reconnect can heal the slot. Server ERROR replies are
 // NOT transport failures — the stream stays in sync and the connection
@@ -194,15 +138,17 @@ void Client::send_all(const std::vector<std::uint8_t>& bytes) {
   }
 }
 
-std::vector<std::uint8_t> Client::recv_frame() {
+Frame Client::recv_frame() {
+  // The previous frame has been handled: drop its bytes (and its views).
+  rx_.erase(rx_.begin(), rx_.begin() + static_cast<std::ptrdiff_t>(rx_used_));
+  rx_used_ = 0;
   while (true) {
     Frame frame;
     std::size_t consumed = 0;
     const DecodeStatus st = decode_frame(rx_, frame, consumed);
     if (st == DecodeStatus::kOk) {
-      std::vector<std::uint8_t> bytes(rx_.begin(), rx_.begin() + consumed);
-      rx_.erase(rx_.begin(), rx_.begin() + consumed);
-      return bytes;
+      rx_used_ = consumed;
+      return frame;
     }
     if (st != DecodeStatus::kNeedMore) {
       close();
@@ -235,345 +181,184 @@ std::vector<std::uint8_t> Client::recv_frame() {
   }
 }
 
-std::vector<std::uint8_t> Client::expect(MsgType type, std::uint64_t seq,
-                                         Frame& frame) {
-  std::vector<std::uint8_t> bytes = recv_frame();
-  std::size_t consumed = 0;
-  if (decode_frame(bytes, frame, consumed) != DecodeStatus::kOk) {
-    throw std::runtime_error("Client: reply re-decode failed");
-  }
-  if (frame.header.type == MsgType::kError) {
-    throw_server_error(frame);
-  }
-  if (frame.header.type != type) {
-    close();  // reply stream is desynchronized; unusable
-    throw std::runtime_error(std::string("Client: expected ") +
-                             to_string(type) + ", got " +
-                             to_string(frame.header.type));
-  }
-  if (frame.header.seq != seq) {
-    close();
-    throw std::runtime_error("Client: out-of-sequence reply (expected " +
-                             std::to_string(seq) + ", got " +
-                             std::to_string(frame.header.seq) + ")");
-  }
-  return bytes;
+// --- reply correlation -------------------------------------------------------
+
+std::size_t Client::find(std::uint64_t id) const noexcept {
+  std::size_t i = 0;
+  while (i < window_.size() && window_[i].done.id != id) ++i;
+  return i;
 }
 
-// --- v2 correlation machinery -----------------------------------------------
-
-void Client::forget_pending(std::uint64_t id) {
-  pending_access_.erase(id);
-  pending_pings_.erase(id);
-  std::erase(send_order_, id);
-}
-
-Completion Client::classify_v2(const Frame& frame) {
-  if (frame.header.version != kProtocolV2) {
-    close();
-    throw std::runtime_error("Client: v1-framed reply on a v2 connection");
-  }
-  const std::uint64_t id = frame.header.seq;
-  switch (frame.header.type) {
-    case MsgType::kError:
-      // The server rejected this request but the stream stays in sync:
-      // consume the id's pending slot, keep the connection open, and let
-      // the complaint surface to whoever is awaiting.
-      forget_pending(id);
-      throw_server_error(frame);
-    case MsgType::kAccessReply: {
-      if (pending_access_.erase(id) == 0) {
-        close();
-        throw std::runtime_error("Client: ACCESS_REPLY for unknown id " +
-                                 std::to_string(id));
-      }
-      Completion c;
-      c.id = id;
-      c.type = MsgType::kAccessReply;
-      if (decode_access_reply(frame, c.access) != DecodeStatus::kOk) {
-        close();
-        throw std::runtime_error("Client: malformed ACCESS_REPLY payload");
-      }
-      return c;
-    }
-    case MsgType::kPong: {
-      if (pending_pings_.erase(id) == 0) {
-        close();
-        throw std::runtime_error("Client: PONG for unknown id " +
-                                 std::to_string(id));
-      }
-      Completion c;
-      c.id = id;
-      c.type = MsgType::kPong;
-      return c;
-    }
-    default:
-      close();
-      throw std::runtime_error(std::string("Client: unexpected reply ") +
-                               to_string(frame.header.type));
-  }
-}
-
-std::vector<std::uint8_t> Client::await_frame_v2(std::uint64_t want_id,
-                                                 MsgType want_type,
-                                                 Frame& frame) {
-  while (true) {
-    std::vector<std::uint8_t> bytes = recv_frame();
-    std::size_t consumed = 0;
-    if (decode_frame(bytes, frame, consumed) != DecodeStatus::kOk) {
-      close();
-      throw std::runtime_error("Client: reply re-decode failed");
-    }
-    if (frame.header.seq == want_id) {
-      if (frame.header.type == MsgType::kError) {
-        forget_pending(want_id);
-        throw_server_error(frame);
-      }
-      if (frame.header.version != kProtocolV2 ||
-          frame.header.type != want_type) {
-        close();
-        throw std::runtime_error(std::string("Client: expected ") +
-                                 to_string(want_type) + ", got " +
-                                 to_string(frame.header.type));
-      }
-      return bytes;
-    }
-    // Another request's completion arrived first — park it by id for its
-    // own awaiter. This is what makes await(id) out-of-order safe.
-    Completion parked = classify_v2(frame);
-    const std::uint64_t id = parked.id;
-    parked_.insert_or_assign(id, std::move(parked));
-  }
-}
-
-std::uint64_t Client::send_ping() {
-  if (version_ != kProtocolV2) {
-    throw std::logic_error("Client: send_ping requires protocol v2");
-  }
-  const std::uint64_t id = next_seq_++;
-  tx_.clear();
-  encode_ping(tx_, id, kProtocolV2);
-  send_all(tx_);
-  pending_pings_.insert(id);
-  return id;
-}
-
-AccessReply Client::await_access(std::uint64_t id) {
-  if (version_ != kProtocolV2) {
-    throw std::logic_error("Client: await_access requires protocol v2");
-  }
-  if (const auto it = parked_.find(id); it != parked_.end()) {
-    const AccessReply reply = it->second.access;
-    if (it->second.type != MsgType::kAccessReply) {
-      throw std::logic_error("Client: await_access on a non-ACCESS id");
-    }
-    parked_.erase(it);
-    std::erase(send_order_, id);
-    return reply;
-  }
-  if (!pending_access_.contains(id)) {
-    throw std::logic_error("Client: await_access on unknown id " +
-                           std::to_string(id));
-  }
-  // Claim the slot up front (mirrors v1's --outstanding_ before expect):
-  // a server ERROR for this id still consumed it.
-  std::erase(send_order_, id);
-  Frame frame;
-  const auto bytes = await_frame_v2(id, MsgType::kAccessReply, frame);
-  pending_access_.erase(id);
-  AccessReply reply;
-  if (decode_access_reply(frame, reply) != DecodeStatus::kOk) {
-    close();
-    throw std::runtime_error("Client: malformed ACCESS_REPLY payload");
-  }
-  return reply;
-}
-
-Completion Client::poll_any() {
-  if (version_ != kProtocolV2) {
-    throw std::logic_error("Client: poll_any requires protocol v2");
-  }
-  if (!parked_.empty()) {
-    const auto it = parked_.begin();
-    Completion c = std::move(it->second);
-    parked_.erase(it);
-    std::erase(send_order_, c.id);
-    return c;
-  }
-  if (pending_access_.empty() && pending_pings_.empty()) {
-    throw std::logic_error("Client: poll_any with nothing outstanding");
-  }
-  std::vector<std::uint8_t> bytes = recv_frame();
-  Frame frame;
-  std::size_t consumed = 0;
-  if (decode_frame(bytes, frame, consumed) != DecodeStatus::kOk) {
-    close();
-    throw std::runtime_error("Client: reply re-decode failed");
-  }
-  Completion c = classify_v2(frame);
-  std::erase(send_order_, c.id);
+Completion Client::claim(std::size_t i) {
+  const Completion c = window_[i].done;
+  window_.erase(window_.begin() + static_cast<std::ptrdiff_t>(i));
   return c;
 }
 
-std::uint32_t Client::drain_outstanding() {
-  if (version_ == kProtocolV2) {
-    std::uint32_t drained = 0;
-    while (!parked_.empty() || !pending_access_.empty() ||
-           !pending_pings_.empty()) {
-      if (poll_any().type == MsgType::kAccessReply) ++drained;
-    }
-    send_order_.clear();
-    return drained;
+std::size_t Client::receive_reply() {
+  const Frame frame = recv_frame();
+  const std::size_t i = find(frame.header.seq);
+  if (i == window_.size() || window_[i].arrived) {
+    close();
+    throw std::runtime_error(std::string("Client: ") +
+                             to_string(frame.header.type) +
+                             " for unknown id " +
+                             std::to_string(frame.header.seq));
   }
-  const std::uint32_t drained = outstanding_;
-  while (outstanding_ != 0) {
-    // await_access_reply keeps the reply stream in sync even when a
-    // drained request's reply is a server ERROR (the slot is consumed
-    // before expect() throws) — but the exception still propagates, so a
-    // sync RPC over a poisoned pipeline surfaces the server's complaint
-    // rather than silently eating it.
-    (void)await_access_reply();
+  if (frame.header.type == MsgType::kError) {
+    // The server rejected this request but the stream stays in sync:
+    // consume the entry, keep the connection open, and let the complaint
+    // surface to whoever is receiving.
+    window_.erase(window_.begin() + static_cast<std::ptrdiff_t>(i));
+    throw_server_error(frame);
+  }
+  Completion& done = window_[i].done;
+  if (frame.header.type != done.type) {
+    const MsgType want = done.type;
+    close();
+    throw std::runtime_error(std::string("Client: expected ") +
+                             to_string(want) + ", got " +
+                             to_string(frame.header.type));
+  }
+  if (done.type == MsgType::kAccessReply &&
+      decode_access_reply(frame, done.access) != DecodeStatus::kOk) {
+    close();
+    throw std::runtime_error("Client: malformed ACCESS_REPLY payload");
+  }
+  window_[i].arrived = true;
+  return i;
+}
+
+std::uint64_t Client::send_access(std::span<const WireAccess> accesses) {
+  const std::uint64_t id = next_seq_++;
+  tx_.clear();
+  encode_access_batch(tx_, id, accesses);
+  send_all(tx_);
+  window_.push_back({.done = {.id = id, .type = MsgType::kAccessReply}});
+  return id;
+}
+
+std::uint64_t Client::send_ping() {
+  const std::uint64_t id = next_seq_++;
+  tx_.clear();
+  encode_ping(tx_, id);
+  send_all(tx_);
+  window_.push_back({.done = {.id = id, .type = MsgType::kPong}});
+  return id;
+}
+
+std::uint32_t Client::outstanding() const noexcept {
+  return static_cast<std::uint32_t>(
+      std::count_if(window_.begin(), window_.end(), [](const Pending& p) {
+        return p.done.type == MsgType::kAccessReply;
+      }));
+}
+
+AccessReply Client::await_access(std::uint64_t id) {
+  const std::size_t i = find(id);
+  if (i == window_.size() || window_[i].done.type != MsgType::kAccessReply) {
+    throw std::logic_error("Client: await_access on unknown id " +
+                           std::to_string(id));
+  }
+  // Replies only mark entries arrived; an entry leaves the window early
+  // only through a throw, so `i` stays put while other replies park.
+  while (!window_[i].arrived) receive_reply();
+  return claim(i).access;
+}
+
+AccessReply Client::await_access_reply() {
+  const auto it =
+      std::find_if(window_.begin(), window_.end(), [](const Pending& p) {
+        return p.done.type == MsgType::kAccessReply;
+      });
+  if (it == window_.end()) {
+    throw std::logic_error("Client: no outstanding ACCESS_BATCH");
+  }
+  return await_access(it->done.id);
+}
+
+Completion Client::poll_any() {
+  if (window_.empty()) {
+    throw std::logic_error("Client: poll_any with nothing outstanding");
+  }
+  std::size_t i = 0;
+  while (i < window_.size() && !window_[i].arrived) ++i;
+  if (i == window_.size()) i = receive_reply();
+  return claim(i);
+}
+
+std::uint32_t Client::drain_outstanding() {
+  std::uint32_t drained = 0;
+  while (!window_.empty()) {
+    if (poll_any().type == MsgType::kAccessReply) ++drained;
   }
   return drained;
 }
 
 // --- synchronous round trips ------------------------------------------------
 
-void Client::ping() {
+Frame Client::round_trip(
+    void (*encode)(std::vector<std::uint8_t>&, std::uint64_t), MsgType want) {
   drain_outstanding();
-  const std::uint64_t seq = next_seq_++;
+  const std::uint64_t id = next_seq_++;
   tx_.clear();
-  encode_ping(tx_, seq, version_);
+  encode(tx_, id);
   send_all(tx_);
-  Frame frame;
-  if (version_ == kProtocolV2) {
-    await_frame_v2(seq, MsgType::kPong, frame);
-  } else {
-    expect(MsgType::kPong, seq, frame);
-    next_reply_seq_ = seq + 1;
+  // Nothing else is outstanding, so the next frame must answer `id`.
+  const Frame frame = recv_frame();
+  if (frame.header.seq != id) {
+    close();
+    throw std::runtime_error("Client: reply for id " +
+                             std::to_string(frame.header.seq) +
+                             ", expected " + std::to_string(id));
   }
+  if (frame.header.type == MsgType::kError) throw_server_error(frame);
+  if (frame.header.type != want) {
+    close();
+    throw std::runtime_error(std::string("Client: expected ") +
+                             to_string(want) + ", got " +
+                             to_string(frame.header.type));
+  }
+  return frame;
 }
 
-std::uint64_t Client::send_access(std::span<const WireAccess> accesses) {
-  const std::uint64_t seq = next_seq_++;
-  tx_.clear();
-  encode_access_batch(tx_, seq, accesses, version_);
-  send_all(tx_);
-  if (version_ == kProtocolV2) {
-    send_order_.push_back(seq);
-    pending_access_.insert(seq);
-  } else {
-    ++outstanding_;
-  }
-  return seq;
-}
-
-AccessReply Client::await_access_reply() {
-  if (version_ == kProtocolV2) {
-    if (send_order_.empty()) {
-      throw std::logic_error("Client: no outstanding ACCESS_BATCH");
-    }
-    return await_access(send_order_.front());
-  }
-  if (outstanding_ == 0) {
-    throw std::logic_error("Client: no outstanding ACCESS_BATCH");
-  }
-  const std::uint64_t seq = next_reply_seq_++;
-  // Count the reply as consumed up front: a server ERROR frame for this
-  // request surfaces as an exception from expect(), but it still consumed
-  // this request's slot in the reply stream — the connection stays usable.
-  --outstanding_;
-  Frame frame;
-  const auto bytes = expect(MsgType::kAccessReply, seq, frame);
-  AccessReply reply;
-  if (decode_access_reply(frame, reply) != DecodeStatus::kOk) {
-    throw std::runtime_error("Client: malformed ACCESS_REPLY payload");
-  }
-  return reply;
-}
+void Client::ping() { round_trip(encode_ping, MsgType::kPong); }
 
 AccessReply Client::access(std::span<const WireAccess> accesses) {
-  send_access(accesses);
-  return await_access_reply();
+  return await_access(send_access(accesses));
 }
 
 StatsReply Client::stats() {
-  drain_outstanding();
-  const std::uint64_t seq = next_seq_++;
-  tx_.clear();
-  encode_stats_request(tx_, seq, version_);
-  send_all(tx_);
-  Frame frame;
-  std::vector<std::uint8_t> bytes;
-  if (version_ == kProtocolV2) {
-    bytes = await_frame_v2(seq, MsgType::kStatsReply, frame);
-  } else {
-    bytes = expect(MsgType::kStatsReply, seq, frame);
-    next_reply_seq_ = seq + 1;
-  }
   StatsReply reply;
-  if (decode_stats_reply(frame, reply) != DecodeStatus::kOk) {
+  if (decode_stats_reply(round_trip(encode_stats_request,
+                                    MsgType::kStatsReply),
+                         reply) != DecodeStatus::kOk) {
     throw std::runtime_error("Client: malformed STATS_REPLY payload");
   }
   return reply;
 }
 
 MetricsReply Client::metrics() {
-  drain_outstanding();
-  const std::uint64_t seq = next_seq_++;
-  tx_.clear();
-  encode_metrics_request(tx_, seq, version_);
-  send_all(tx_);
-  Frame frame;
-  std::vector<std::uint8_t> bytes;
-  if (version_ == kProtocolV2) {
-    bytes = await_frame_v2(seq, MsgType::kMetricsReply, frame);
-  } else {
-    bytes = expect(MsgType::kMetricsReply, seq, frame);
-    next_reply_seq_ = seq + 1;
-  }
   MetricsReply reply;
-  if (decode_metrics_reply(frame, reply) != DecodeStatus::kOk) {
+  if (decode_metrics_reply(round_trip(encode_metrics_request,
+                                      MsgType::kMetricsReply),
+                           reply) != DecodeStatus::kOk) {
     throw std::runtime_error("Client: malformed METRICS_REPLY payload");
   }
   return reply;
 }
 
 ModelInfoReply Client::model_info() {
-  drain_outstanding();
-  const std::uint64_t seq = next_seq_++;
-  tx_.clear();
-  encode_model_info_request(tx_, seq, version_);
-  send_all(tx_);
-  Frame frame;
-  std::vector<std::uint8_t> bytes;
-  if (version_ == kProtocolV2) {
-    bytes = await_frame_v2(seq, MsgType::kModelInfoReply, frame);
-  } else {
-    bytes = expect(MsgType::kModelInfoReply, seq, frame);
-    next_reply_seq_ = seq + 1;
-  }
   ModelInfoReply reply;
-  if (decode_model_info_reply(frame, reply) != DecodeStatus::kOk) {
+  if (decode_model_info_reply(round_trip(encode_model_info_request,
+                                         MsgType::kModelInfoReply),
+                              reply) != DecodeStatus::kOk) {
     throw std::runtime_error("Client: malformed MODEL_INFO_REPLY payload");
   }
   return reply;
 }
 
-void Client::flush() {
-  drain_outstanding();
-  const std::uint64_t seq = next_seq_++;
-  tx_.clear();
-  encode_flush_request(tx_, seq, version_);
-  send_all(tx_);
-  Frame frame;
-  if (version_ == kProtocolV2) {
-    await_frame_v2(seq, MsgType::kFlushReply, frame);
-  } else {
-    expect(MsgType::kFlushReply, seq, frame);
-    next_reply_seq_ = seq + 1;
-  }
-}
+void Client::flush() { round_trip(encode_flush_request, MsgType::kFlushReply); }
 
 // --- replay_stream ----------------------------------------------------------
 
@@ -597,6 +382,7 @@ std::uint64_t replay_stream(Client& client,
                             const ReplayBatchHook& on_reply) {
   using Clock = std::chrono::steady_clock;
   struct InFlight {
+    std::uint64_t id;
     Clock::time_point ref;
     std::uint32_t count;
   };
@@ -605,7 +391,6 @@ std::uint64_t replay_stream(Client& client,
   const bool recorded_timing = !opts.send_offsets_ns.empty() &&
                                opts.send_offsets_ns.size() >= stream.size();
   const bool open_loop = recorded_timing || opts.batch_interval.count() > 0;
-  const bool v2 = client.version() == kProtocolV2;
 
   // Defensive sanitize of the clear points (documented as sorted
   // ascending; zeros and duplicates dropped) so a capture's raw marker
@@ -620,33 +405,27 @@ std::uint64_t replay_stream(Client& client,
 
   const auto start = Clock::now();
 
-  // v1 completes in send order (FIFO deque); v2 completes in arrival
-  // order (poll_any keyed by id), so a slow batch never head-of-line
-  // blocks the latency measurement of replies that already arrived.
+  // Completions are taken in arrival order (poll_any), so a slow batch
+  // never head-of-line blocks the latency measurement of replies that
+  // already arrived. The server answers in send order, so the match is
+  // nearly always the window's front.
   std::deque<InFlight> window;
-  std::unordered_map<std::uint64_t, InFlight> window_v2;
   std::uint64_t completed = 0;
-  auto in_flight = [&] { return v2 ? window_v2.size() : window.size(); };
   auto await_one = [&] {
-    if (v2) {
-      const Completion c = client.poll_any();
-      // Only ACCESS ids are outstanding here, so every completion maps.
-      const auto it = window_v2.find(c.id);
-      if (c.type != MsgType::kAccessReply || it == window_v2.end()) {
-        throw std::runtime_error("replay_stream: unexpected completion id " +
-                                 std::to_string(c.id));
-      }
-      const InFlight oldest = it->second;
-      window_v2.erase(it);
-      completed += c.access.count;
-      if (on_reply) on_reply(c.access, oldest.ref, oldest.count);
-      return;
+    const Completion c = client.poll_any();
+    // Only this window's ACCESS ids are outstanding, so every completion
+    // maps.
+    const auto it =
+        std::find_if(window.begin(), window.end(),
+                     [&c](const InFlight& f) { return f.id == c.id; });
+    if (c.type != MsgType::kAccessReply || it == window.end()) {
+      throw std::runtime_error("replay_stream: unexpected completion id " +
+                               std::to_string(c.id));
     }
-    const AccessReply reply = client.await_access_reply();
-    const InFlight oldest = window.front();
-    window.pop_front();
-    completed += reply.count;
-    if (on_reply) on_reply(reply, oldest.ref, oldest.count);
+    const InFlight done = *it;
+    window.erase(it);
+    completed += c.access.count;
+    if (on_reply) on_reply(c.access, done.ref, done.count);
   };
 
   std::size_t sent = 0;
@@ -655,7 +434,7 @@ std::uint64_t replay_stream(Client& client,
     while (next_point < points.size() && points[next_point] == sent) {
       // Drain the window first so the FLUSH is a true barrier: every
       // request before the point completed, none after it sent.
-      while (in_flight() != 0) await_one();
+      while (!window.empty()) await_one();
       client.flush();
       ++next_point;
     }
@@ -677,18 +456,14 @@ std::uint64_t replay_stream(Client& client,
       ref = start + batch_index * opts.batch_interval;
       precise_sleep_until(ref);  // no-op when behind schedule
     }
-    while (in_flight() >= pipeline) await_one();
+    while (window.size() >= pipeline) await_one();
     if (!open_loop) ref = Clock::now();
     const std::uint64_t id = client.send_access(stream.subspan(sent, n));
-    if (v2) {
-      window_v2.emplace(id, InFlight{ref, static_cast<std::uint32_t>(n)});
-    } else {
-      window.push_back({ref, static_cast<std::uint32_t>(n)});
-    }
+    window.push_back({id, ref, static_cast<std::uint32_t>(n)});
     sent += n;
     ++batch_index;
   }
-  while (in_flight() != 0) await_one();
+  while (!window.empty()) await_one();
   // Points landing exactly at the end of the stream still fire (a capture
   // that ends on a FLUSH marker), mirroring runtime replay's semantics.
   while (next_point < points.size() && points[next_point] == sent) {

@@ -1,20 +1,19 @@
 // Blocking client for the ICGMM wire protocol: one TCP connection per
 // Client, synchronous request/reply helpers, and explicit send/await
-// halves so callers can pipeline several ACCESS_BATCH frames before
-// collecting replies. ClientPool keeps N connections to one server for
+// halves so callers can pipeline several requests before collecting
+// replies. ClientPool keeps N connections to one server for
 // multi-threaded drivers.
 //
-// A fresh connection speaks protocol v1 (replies correlate by arrival
-// order; the server completes them in request order). negotiate()
-// probes for v2 with a v2 PING and, when the server answers, switches
-// the connection to the multiplexed mode: every request carries a u64
-// id, replies echo it and may arrive in ANY order, and the out-of-order
-// safe await(id)/poll_any() primitives correlate them. Against an old
-// v1-only server the probe is stream poison — the server drops the
-// connection — so negotiate() transparently reconnects and stays on v1.
+// Every request carries a u64 id and its reply echoes it. The client
+// keeps the requests still awaiting a reply in one window, in send
+// order, and matches each reply to its entry by id — so replies may
+// arrive in any order. A reply nobody is waiting for yet stays parked in
+// its entry until await_access(id), await_access_reply() or poll_any()
+// claims it. The server answers a connection in arrival order, so the
+// match is almost always the window's first entry.
 //
-// All failures (connect/socket errors, unexpected EOF, malformed or
-// out-of-sequence replies, server ERROR frames, receive deadline
+// All failures (connect/socket errors, unexpected EOF, malformed replies
+// or replies to ids never sent, server ERROR frames, receive deadline
 // expiry) surface as std::runtime_error / std::system_error.
 #pragma once
 
@@ -26,15 +25,13 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/protocol.hpp"
 
 namespace icgmm::net {
 
-/// One finished request, as surfaced by the v2 multiplexed primitives.
+/// One finished request, as surfaced by the pipelining primitives.
 struct Completion {
   std::uint64_t id = 0;
   MsgType type = MsgType::kAccessReply;
@@ -59,39 +56,24 @@ class Client {
   bool connected() const noexcept { return fd_ >= 0; }
   void close() noexcept;
 
-  // --- protocol negotiation --------------------------------------------------
-
-  /// Probes the server with a v2 PING (nothing may be outstanding).
-  /// Returns the negotiated version: kProtocolV2 when the server ponged
-  /// in v2, else kProtocolVersion — a v1-only server treats the probe as
-  /// stream poison and drops the connection, in which case negotiate()
-  /// transparently reconnects to the same endpoint and stays on v1.
-  /// Idempotent once negotiated.
+  /// A PING round trip that returns kProtocolV2, the version the server
+  /// just answered in. A connection needs no negotiation; this only
+  /// confirms the peer speaks the protocol.
   std::uint8_t negotiate();
-  /// Protocol this connection speaks: kProtocolVersion until negotiate()
-  /// lands on kProtocolV2.
-  std::uint8_t version() const noexcept { return version_; }
 
   /// Optional receive deadline for every subsequent blocking receive
   /// (default off): a hung or stalled server then surfaces as a clean
   /// std::system_error(ETIMEDOUT) — and the connection closes, since a
   /// reply abandoned mid-wait leaves the stream unusable — instead of
-  /// blocking forever. Zero or negative disables. Survives negotiate()'s
-  /// internal reconnect; throws std::system_error if setsockopt fails.
+  /// blocking forever. Zero or negative disables. Throws
+  /// std::system_error if setsockopt fails.
   void set_recv_timeout(std::chrono::milliseconds timeout);
 
   // --- synchronous round trips ---------------------------------------------
-  // v1: replies are correlated purely by order, so a synchronous RPC
-  // issued with ACCESS replies still outstanding first drains the
-  // pipeline (drain_outstanding) — the RPC's reply is then the next
-  // frame on the wire. Earlier versions threw instead; draining makes
-  // mid-pipeline STATS/FLUSH safe (monitoring pollers, admin tools) at
-  // the cost of discarding the drained ACCESS replies' contents.
-  //
-  // v2: ids make the drain unnecessary for correlation, but the sync
-  // RPCs still drain first so their v1 barrier semantics hold — the v2
-  // contract lets a server complete a connection's requests in any
-  // order, so FLUSH could otherwise race the ACCESS batches before it.
+  // Each drains every outstanding request first (drain_outstanding), so
+  // it is a barrier: STATS reflects, and FLUSH clears, every batch sent
+  // before it — monitoring pollers and admin tools may call them
+  // mid-pipeline, at the cost of discarding the drained replies.
 
   /// PING/PONG round trip; throws if the server misbehaves.
   void ping();
@@ -106,38 +88,28 @@ class Client {
   void flush();
 
   // --- pipelining ------------------------------------------------------------
-  // send_access() writes one ACCESS_BATCH frame and returns immediately;
-  // await_access_reply() blocks for the oldest unawaited batch. On v1
-  // replies arrive in send order; on v2 they may arrive in any order —
-  // out-of-order arrivals are parked by id and handed out when awaited.
-  // Callers bound their own window (the bench and loadgen keep <= depth
-  // outstanding).
+  // send_access() writes one ACCESS_BATCH frame and returns its id at
+  // once; the await/poll calls below claim replies, parking any that
+  // arrive before their claimer asks. Callers bound their own window
+  // (the bench and loadgen keep <= depth outstanding).
 
-  /// Returns the request's id (the v1 u32 sequence, or the v2 u64 id).
   std::uint64_t send_access(std::span<const WireAccess> accesses);
+  /// Blocks for the reply to the oldest unclaimed ACCESS batch.
   AccessReply await_access_reply();
-  /// Unawaited ACCESS batches (sent, reply not yet claimed by a caller —
-  /// a v2 reply parked out of order still counts until awaited).
-  std::uint32_t outstanding() const noexcept {
-    return version_ == kProtocolV2
-               ? static_cast<std::uint32_t>(send_order_.size())
-               : outstanding_;
-  }
+  /// Unclaimed ACCESS batches (sent, reply not yet claimed by a caller —
+  /// a reply parked out of order still counts until claimed).
+  std::uint32_t outstanding() const noexcept;
 
-  // --- v2 multiplexed mode ---------------------------------------------------
-  // Only valid after negotiate() returned kProtocolV2; the order-based
-  // v1 stream has no ids to correlate by, so these throw on v1.
-
-  /// Fire-and-await-later PING (v2 only): returns the id; the PONG
-  /// surfaces through poll_any(). Lets a driver prove liveness (or force
-  /// an out-of-order completion) without a pipeline barrier.
+  /// Fire-and-await-later PING: returns the id; the PONG surfaces
+  /// through poll_any(). Lets a driver prove liveness (or force an
+  /// out-of-order completion) without a pipeline barrier.
   std::uint64_t send_ping();
   /// Blocks for the reply to a specific outstanding ACCESS id, however
   /// late it arrives; replies to other ids received meanwhile are parked.
   AccessReply await_access(std::uint64_t id);
-  /// Blocks for the next completion in arrival order (parked ones first)
-  /// — the multiplexed drain primitive. Throws std::logic_error when
-  /// nothing is outstanding.
+  /// Returns the first parked completion in send order, else blocks for
+  /// the next reply to arrive. Throws std::logic_error when nothing is
+  /// outstanding.
   Completion poll_any();
 
   /// Awaits (and discards) every outstanding ACCESS reply and pending
@@ -147,39 +119,38 @@ class Client {
   std::uint32_t drain_outstanding();
 
  private:
-  /// Reads until one complete frame is buffered; returns owned bytes.
-  std::vector<std::uint8_t> recv_frame();
+  /// A request awaiting its reply: `done` names the expected reply type
+  /// and, once `arrived`, holds the reply until a caller claims it.
+  struct Pending {
+    Completion done;
+    bool arrived = false;
+  };
+
+  /// Reads until one complete frame is buffered. The frame views rx_ and
+  /// stays valid until the next receive.
+  Frame recv_frame();
   void send_all(const std::vector<std::uint8_t>& bytes);
-  /// Receives a frame, requiring `type` with sequence `seq`; decodes a
-  /// server ERROR frame into an exception. v1 only.
-  std::vector<std::uint8_t> expect(MsgType type, std::uint64_t seq,
-                                   Frame& frame);
-  /// v2: reads frames until `want_id` arrives (which must decode as
-  /// `want_type`), parking completions for other ids. Sync-RPC and
-  /// await(id) workhorse.
-  std::vector<std::uint8_t> await_frame_v2(std::uint64_t want_id,
-                                           MsgType want_type, Frame& frame);
-  /// v2: classifies one received frame into a Completion, consuming its
-  /// pending-set entry; throws on ERROR frames and unknown ids.
-  Completion classify_v2(const Frame& frame);
-  void forget_pending(std::uint64_t id);
+  /// Receives one reply into its window entry and returns the entry's
+  /// index. A server ERROR consumes the entry and throws; a reply no
+  /// entry awaits closes the connection and throws.
+  std::size_t receive_reply();
+  /// Index of `id` in the window, or the window's size when absent.
+  std::size_t find(std::uint64_t id) const noexcept;
+  /// Removes window entry `i` and returns its completion.
+  Completion claim(std::size_t i);
+  /// The sync RPC: drains, sends the empty request `encode` builds, and
+  /// returns the reply, which must be of type `want` (the frame is valid
+  /// until the next receive).
+  Frame round_trip(void (*encode)(std::vector<std::uint8_t>&, std::uint64_t),
+                   MsgType want);
   void apply_recv_timeout();
 
   int fd_ = -1;
-  std::string host_;  ///< endpoint, kept for negotiate()'s v1 fallback
-  std::uint16_t port_ = 0;
-  std::uint8_t version_ = kProtocolVersion;
   std::chrono::milliseconds recv_timeout_{0};
   std::uint64_t next_seq_ = 1;
-  std::uint64_t next_reply_seq_ = 1;
-  std::uint32_t outstanding_ = 0;  ///< v1 unawaited ACCESS batches
-  // v2 correlation state: ids in send order that no caller has awaited
-  // yet; ids on the wire (reply not received); receipts nobody claimed.
-  std::deque<std::uint64_t> send_order_;
-  std::unordered_set<std::uint64_t> pending_access_;
-  std::unordered_set<std::uint64_t> pending_pings_;
-  std::unordered_map<std::uint64_t, Completion> parked_;
-  std::vector<std::uint8_t> rx_;  ///< partial inbound stream
+  std::deque<Pending> window_;  ///< requests awaiting a reply, send order
+  std::vector<std::uint8_t> rx_;  ///< inbound stream
+  std::size_t rx_used_ = 0;  ///< bytes of rx_ the last frame returned holds
   std::vector<std::uint8_t> tx_;  ///< scratch encode buffer
 };
 
@@ -204,8 +175,8 @@ struct ReplayOptions {
   /// (zeros and duplicates are ignored; points past the stream never
   /// fire). At each point the batch is split so the boundary is exact
   /// and the in-flight window is drained first, so the FLUSH lands
-  /// between the last request before it and the first after — on v2,
-  /// whose contract lets a server complete requests in any order, that
+  /// between the last request before it and the first after — the
+  /// protocol lets a server complete requests in any order, so that
   /// drain is what keeps the clear point exact. The single-point case is
   /// the classic warm-up discard.
   std::vector<std::size_t> clear_points;

@@ -77,43 +77,30 @@ std::uint64_t get_u64(const std::uint8_t* p) noexcept {
 namespace {
 
 void put_header(std::vector<std::uint8_t>& out, MsgType type, std::uint64_t seq,
-                std::uint32_t payload_len, std::uint8_t version) {
+                std::uint32_t payload_len) {
   put_u32(out, kMagic);
-  out.push_back(version);
+  out.push_back(kProtocolV2);
   out.push_back(static_cast<std::uint8_t>(type));
   put_u16(out, 0);  // flags, reserved
-  if (version == kProtocolV2) {
-    put_u64(out, seq);
-    put_u32(out, payload_len);
-    put_u32(out, 0);  // reserved, must be 0
-  } else {
-    put_u32(out, static_cast<std::uint32_t>(seq));
-    put_u32(out, payload_len);
-  }
-}
-
-void put_empty_frame(std::vector<std::uint8_t>& out, MsgType type,
-                     std::uint64_t seq, std::uint8_t version) {
-  put_header(out, type, seq, 0, version);
+  put_u64(out, seq);
+  put_u32(out, payload_len);
+  put_u32(out, 0);  // reserved, must be 0
 }
 
 }  // namespace
 
 // --- encoders --------------------------------------------------------------
 
-void encode_ping(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                 std::uint8_t version) {
-  put_empty_frame(out, MsgType::kPing, seq, version);
+void encode_ping(std::vector<std::uint8_t>& out, std::uint64_t seq) {
+  put_header(out, MsgType::kPing, seq, 0);
 }
 
-void encode_pong(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                 std::uint8_t version) {
-  put_empty_frame(out, MsgType::kPong, seq, version);
+void encode_pong(std::vector<std::uint8_t>& out, std::uint64_t seq) {
+  put_header(out, MsgType::kPong, seq, 0);
 }
 
 void encode_access_batch(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                         std::span<const WireAccess> accesses,
-                         std::uint8_t version) {
+                         std::span<const WireAccess> accesses) {
   if (accesses.size() > kMaxBatch) {
     // Fail loudly at the sender: a frame over the protocol caps would be
     // silently treated as stream poison by the receiving server.
@@ -124,7 +111,7 @@ void encode_access_batch(std::vector<std::uint8_t>& out, std::uint64_t seq,
   const std::uint32_t count = static_cast<std::uint32_t>(accesses.size());
   const std::uint32_t payload =
       4 + count * static_cast<std::uint32_t>(kAccessWireBytes);
-  put_header(out, MsgType::kAccessBatch, seq, payload, version);
+  put_header(out, MsgType::kAccessBatch, seq, payload);
   put_u32(out, count);
   for (const WireAccess& a : accesses) {
     put_u64(out, a.page);
@@ -134,8 +121,8 @@ void encode_access_batch(std::vector<std::uint8_t>& out, std::uint64_t seq,
 }
 
 void encode_access_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                         const AccessReply& reply, std::uint8_t version) {
-  put_header(out, MsgType::kAccessReply, seq, 20, version);
+                         const AccessReply& reply) {
+  put_header(out, MsgType::kAccessReply, seq, 20);
   put_u32(out, reply.count);
   put_u32(out, reply.hits);
   put_u32(out, reply.admitted);
@@ -143,14 +130,13 @@ void encode_access_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
   put_u32(out, reply.dirty_evictions);
 }
 
-void encode_stats_request(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                          std::uint8_t version) {
-  put_empty_frame(out, MsgType::kStats, seq, version);
+void encode_stats_request(std::vector<std::uint8_t>& out, std::uint64_t seq) {
+  put_header(out, MsgType::kStats, seq, 0);
 }
 
 void encode_stats_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                        const StatsReply& reply, std::uint8_t version) {
-  put_header(out, MsgType::kStatsReply, seq, 20 * 8, version);
+                        const StatsReply& reply) {
+  put_header(out, MsgType::kStatsReply, seq, 20 * 8);
   put_u64(out, reply.accesses);
   put_u64(out, reply.hits);
   put_u64(out, reply.read_misses);
@@ -174,17 +160,15 @@ void encode_stats_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
 }
 
 void encode_model_info_request(std::vector<std::uint8_t>& out,
-                               std::uint64_t seq, std::uint8_t version) {
-  put_empty_frame(out, MsgType::kModelInfo, seq, version);
+                               std::uint64_t seq) {
+  put_header(out, MsgType::kModelInfo, seq, 0);
 }
 
 void encode_model_info_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                             const ModelInfoReply& reply,
-                             std::uint8_t version) {
+                             const ModelInfoReply& reply) {
   const std::uint16_t name_len =
       static_cast<std::uint16_t>(reply.policy_name.size());
-  put_header(out, MsgType::kModelInfoReply, seq, 4 + 4 + 8 + 2 + name_len,
-             version);
+  put_header(out, MsgType::kModelInfoReply, seq, 4 + 4 + 8 + 2 + name_len);
   put_u32(out, reply.shards);
   put_u32(out, reply.components);
   put_u64(out, reply.model_version);
@@ -192,33 +176,30 @@ void encode_model_info_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
   out.insert(out.end(), reply.policy_name.begin(), reply.policy_name.end());
 }
 
-void encode_flush_request(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                          std::uint8_t version) {
-  put_empty_frame(out, MsgType::kFlush, seq, version);
+void encode_flush_request(std::vector<std::uint8_t>& out, std::uint64_t seq) {
+  put_header(out, MsgType::kFlush, seq, 0);
 }
 
-void encode_flush_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                        std::uint8_t version) {
-  put_empty_frame(out, MsgType::kFlushReply, seq, version);
+void encode_flush_reply(std::vector<std::uint8_t>& out, std::uint64_t seq) {
+  put_header(out, MsgType::kFlushReply, seq, 0);
 }
 
 void encode_error(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                  const ErrorReply& reply, std::uint8_t version) {
+                  const ErrorReply& reply) {
   const std::uint16_t msg_len =
       static_cast<std::uint16_t>(reply.message.size());
-  put_header(out, MsgType::kError, seq, 2 + 2 + msg_len, version);
+  put_header(out, MsgType::kError, seq, 2 + 2 + msg_len);
   put_u16(out, static_cast<std::uint16_t>(reply.code));
   put_u16(out, msg_len);
   out.insert(out.end(), reply.message.begin(), reply.message.end());
 }
 
-void encode_metrics_request(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                            std::uint8_t version) {
-  put_empty_frame(out, MsgType::kMetrics, seq, version);
+void encode_metrics_request(std::vector<std::uint8_t>& out, std::uint64_t seq) {
+  put_header(out, MsgType::kMetrics, seq, 0);
 }
 
 void encode_metrics_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                          const MetricsReply& reply, std::uint8_t version) {
+                          const MetricsReply& reply) {
   if (reply.entries.size() > kMaxMetricsEntries) {
     throw std::length_error("encode_metrics_reply: " +
                             std::to_string(reply.entries.size()) +
@@ -239,7 +220,7 @@ void encode_metrics_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
                             std::to_string(kMaxPayload));
   }
   put_header(out, MsgType::kMetricsReply, seq,
-             static_cast<std::uint32_t>(payload), version);
+             static_cast<std::uint32_t>(payload));
   put_u32(out, static_cast<std::uint32_t>(reply.entries.size()));
   for (const MetricsEntry& e : reply.entries) {
     put_u16(out, static_cast<std::uint16_t>(e.name.size()));
@@ -252,13 +233,12 @@ void encode_metrics_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
 
 DecodeStatus decode_header(std::span<const std::uint8_t> buf,
                            FrameHeader& out) noexcept {
-  if (buf.size() < kHeaderBytes) return DecodeStatus::kNeedMore;
+  // Magic and version are judged as soon as their bytes are in: a peer
+  // speaking another format may never send 24 bytes (a v1 PING is 16).
   const std::uint8_t* p = buf.data();
-  if (get_u32(p) != kMagic) return DecodeStatus::kBadMagic;
-  out.version = p[4];
-  if (out.version != kProtocolVersion && out.version != kProtocolV2) {
-    return DecodeStatus::kBadVersion;
-  }
+  if (buf.size() >= 4 && get_u32(p) != kMagic) return DecodeStatus::kBadMagic;
+  if (buf.size() >= 5 && p[4] != kProtocolV2) return DecodeStatus::kBadVersion;
+  if (buf.size() < kHeaderBytesV2) return DecodeStatus::kNeedMore;
   const std::uint8_t raw_type = p[5];
   if (raw_type < static_cast<std::uint8_t>(MsgType::kPing) ||
       raw_type > static_cast<std::uint8_t>(MsgType::kMetricsReply)) {
@@ -269,17 +249,9 @@ DecodeStatus decode_header(std::span<const std::uint8_t> buf,
   out.type = static_cast<MsgType>(raw_type);
   out.flags = get_u16(p + 6);
   if (out.flags != 0) return DecodeStatus::kBadPayload;
-  if (out.version == kProtocolV2) {
-    // The common 16-byte prefix is in; the v2 tail (id high half,
-    // payload_len, reserved) may still be in flight.
-    if (buf.size() < kHeaderBytesV2) return DecodeStatus::kNeedMore;
-    out.seq = get_u64(p + 8);
-    out.payload_len = get_u32(p + 16);
-    if (get_u32(p + 20) != 0) return DecodeStatus::kBadPayload;  // reserved
-  } else {
-    out.seq = get_u32(p + 8);
-    out.payload_len = get_u32(p + 12);
-  }
+  out.seq = get_u64(p + 8);
+  out.payload_len = get_u32(p + 16);
+  if (get_u32(p + 20) != 0) return DecodeStatus::kBadPayload;  // reserved
   if (out.payload_len > kMaxPayload) return DecodeStatus::kBadLength;
   return DecodeStatus::kOk;
 }
@@ -288,10 +260,9 @@ DecodeStatus decode_frame(std::span<const std::uint8_t> buf, Frame& frame,
                           std::size_t& consumed) noexcept {
   const DecodeStatus hs = decode_header(buf, frame.header);
   if (hs != DecodeStatus::kOk) return hs;
-  const std::size_t header = header_bytes(frame.header.version);
-  const std::size_t total = header + frame.header.payload_len;
+  const std::size_t total = kHeaderBytesV2 + frame.header.payload_len;
   if (buf.size() < total) return DecodeStatus::kNeedMore;
-  frame.payload = buf.subspan(header, frame.header.payload_len);
+  frame.payload = buf.subspan(kHeaderBytesV2, frame.header.payload_len);
   consumed = total;
   return DecodeStatus::kOk;
 }

@@ -1,33 +1,14 @@
-// ICGMM binary wire protocol, versions 1 and 2 — the length-prefixed
-// frame formats the RPC serving frontend speaks on a TCP stream.
+// ICGMM binary wire protocol (version 2) — the length-prefixed frame
+// format the RPC serving frontend speaks on a TCP stream.
 //
-// Every frame is a fixed-size header followed by `payload_len` bytes of
+// Every frame is a 24-byte header followed by `payload_len` bytes of
 // payload, all integers explicitly little-endian on the wire regardless
-// of host byte order. The header starts with a version-independent
-// 8-byte prefix; the version byte selects the rest of the layout.
-//
-// Version 1 (16-byte header) — replies are correlated purely by arrival
-// order per connection, so the server must complete a connection's
-// requests in request order:
+// of host byte order. Every request carries a u64 request id and its
+// reply echoes it; the server answers one connection's requests in
+// arrival order, but clients correlate by id, never by position:
 //
 //   offset  size  field
 //   0       4     magic       "ICGM" (0x4d474349 as a LE u32)
-//   4       1     version     1
-//   5       1     type        MsgType
-//   6       2     flags       reserved, must be 0
-//   8       4     seq         request sequence, echoed in the reply
-//                             (pipelining correlates replies by seq)
-//   12      4     payload_len bytes following the header
-//
-// Version 2 (24-byte header) — every request carries a u64 request id,
-// the reply echoes it, and correlation moves from arrival order to id
-// matching: replies on one connection may arrive in ANY order, which
-// lets the server complete a connection's requests on any worker as
-// they finish (and lets one connection multiplex independent logical
-// streams):
-//
-//   offset  size  field
-//   0       4     magic       "ICGM"
 //   4       1     version     2
 //   5       1     type        MsgType
 //   6       2     flags       reserved, must be 0
@@ -36,11 +17,9 @@
 //   20      4     reserved    must be 0 (keeps the payload 8-aligned and
 //                             leaves room for stream/priority bits)
 //
-// Both versions share all payload formats below; a server answers each
-// frame in the version the frame arrived with. Unknown versions are
-// stream poison (kBadVersion — the connection is dropped), which is the
-// whole negotiation rule: a v2-capable client probes with a v2 PING and
-// falls back to v1 if the connection dies instead of ponging.
+// Any other version byte (1, the retired 16-byte order-correlated
+// format, included) is stream poison: kBadVersion, and the server drops
+// the connection.
 //
 // Request/reply payloads (LE throughout):
 //   ACCESS_BATCH  u32 count, then count x {u64 page, u64 timestamp,
@@ -51,7 +30,7 @@
 //                 counters as 20 x u64 (see StatsReply).
 //   MODEL_INFO    empty request; reply: u32 shards, u32 components,
 //                 u64 model_version, u16 name_len, name bytes.
-//   PING          empty request; PONG reply echoes the seq.
+//   PING          empty request; PONG reply echoes the id.
 //   FLUSH         admin: zeroes the runtime's statistics counters
 //                 (cache contents stay warm); empty reply.
 //   METRICS       empty request; reply: u32 count, then count x
@@ -86,16 +65,9 @@
 namespace icgmm::net {
 
 inline constexpr std::uint32_t kMagic = 0x4d474349u;  // "ICGM" little-endian
-inline constexpr std::uint8_t kProtocolVersion = 1;
+/// The only version byte a frame may carry.
 inline constexpr std::uint8_t kProtocolV2 = 2;
-inline constexpr std::size_t kHeaderBytes = 16;    ///< v1 header size
-inline constexpr std::size_t kHeaderBytesV2 = 24;  ///< v2 header size
-
-/// Header size for a protocol version (both are compile-time constants;
-/// the stream decoder picks after reading the version byte).
-constexpr std::size_t header_bytes(std::uint8_t version) noexcept {
-  return version == kProtocolV2 ? kHeaderBytesV2 : kHeaderBytes;
-}
+inline constexpr std::size_t kHeaderBytesV2 = 24;  ///< header size
 /// Hard cap on a frame payload; a declared length above this is a
 /// malformed frame (protects the server from hostile allocations).
 inline constexpr std::uint32_t kMaxPayload = 1u << 20;  // 1 MiB
@@ -140,11 +112,9 @@ enum class DecodeStatus : std::uint8_t {
 const char* to_string(DecodeStatus s) noexcept;
 
 struct FrameHeader {
-  std::uint8_t version = kProtocolVersion;
   MsgType type = MsgType::kPing;
   std::uint16_t flags = 0;
-  /// v1: the u32 wire sequence; v2: the full u64 request id.
-  std::uint64_t seq = 0;
+  std::uint64_t seq = 0;  ///< the request id
   std::uint32_t payload_len = 0;
 };
 
@@ -228,53 +198,36 @@ std::uint32_t get_u32(const std::uint8_t* p) noexcept;
 std::uint64_t get_u64(const std::uint8_t* p) noexcept;
 
 // --- frame encoding --------------------------------------------------------
-// Encoders append one complete frame (header + payload) to `out`. The
-// trailing `version` selects the header layout (default v1, byte-for-byte
-// what this library has always emitted); under v1 only the low 32 bits of
-// `seq` fit on the wire.
+// Encoders append one complete frame (header + payload) to `out`.
 
-void encode_ping(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                 std::uint8_t version = kProtocolVersion);
-void encode_pong(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                 std::uint8_t version = kProtocolVersion);
+void encode_ping(std::vector<std::uint8_t>& out, std::uint64_t seq);
+void encode_pong(std::vector<std::uint8_t>& out, std::uint64_t seq);
 void encode_access_batch(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                         std::span<const WireAccess> accesses,
-                         std::uint8_t version = kProtocolVersion);
+                         std::span<const WireAccess> accesses);
 void encode_access_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                         const AccessReply& reply,
-                         std::uint8_t version = kProtocolVersion);
-void encode_stats_request(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                          std::uint8_t version = kProtocolVersion);
+                         const AccessReply& reply);
+void encode_stats_request(std::vector<std::uint8_t>& out, std::uint64_t seq);
 void encode_stats_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                        const StatsReply& reply,
-                        std::uint8_t version = kProtocolVersion);
+                        const StatsReply& reply);
 void encode_model_info_request(std::vector<std::uint8_t>& out,
-                               std::uint64_t seq,
-                               std::uint8_t version = kProtocolVersion);
+                               std::uint64_t seq);
 void encode_model_info_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                             const ModelInfoReply& reply,
-                             std::uint8_t version = kProtocolVersion);
-void encode_flush_request(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                          std::uint8_t version = kProtocolVersion);
-void encode_flush_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                        std::uint8_t version = kProtocolVersion);
+                             const ModelInfoReply& reply);
+void encode_flush_request(std::vector<std::uint8_t>& out, std::uint64_t seq);
+void encode_flush_reply(std::vector<std::uint8_t>& out, std::uint64_t seq);
 void encode_error(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                  const ErrorReply& reply,
-                  std::uint8_t version = kProtocolVersion);
-void encode_metrics_request(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                            std::uint8_t version = kProtocolVersion);
+                  const ErrorReply& reply);
+void encode_metrics_request(std::vector<std::uint8_t>& out, std::uint64_t seq);
 /// Throws std::length_error past kMaxMetricsEntries or a name over u16.
 void encode_metrics_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                          const MetricsReply& reply,
-                          std::uint8_t version = kProtocolVersion);
+                          const MetricsReply& reply);
 
 // --- frame decoding --------------------------------------------------------
 
-/// Parses a header from the front of `buf`. kNeedMore when buf has fewer
-/// bytes than the frame's version needs (16 for v1, 24 for v2; the
-/// version byte itself sits in the common prefix); kBadMagic /
-/// kBadVersion / kBadLength on a frame that can never become valid (the
-/// connection should be dropped).
+/// Parses a header from the front of `buf`. kBadMagic / kBadVersion as
+/// soon as those bytes are in; otherwise kNeedMore while buf holds fewer
+/// than kHeaderBytesV2 bytes. kBadMagic / kBadVersion / kBadLength mean
+/// the frame can never become valid (the connection should be dropped).
 DecodeStatus decode_header(std::span<const std::uint8_t> buf,
                            FrameHeader& out) noexcept;
 

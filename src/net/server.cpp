@@ -53,9 +53,9 @@ struct Server::Connection {
   std::vector<std::uint8_t> in;   ///< partial inbound byte stream
   std::vector<std::uint8_t> out;  ///< framed replies, in request order
   std::size_t out_off = 0;        ///< bytes of `out` already sent
-  /// End offsets in `out` of its v2 replies; the first v2_sent are out.
-  std::vector<std::size_t> v2_ends;
-  std::size_t v2_sent = 0;
+  /// End offsets in `out` of its replies; the first replies_sent are out.
+  std::vector<std::size_t> reply_ends;
+  std::size_t replies_sent = 0;
   std::uint32_t events = EPOLLIN;  ///< the registered epoll mask
   bool eof = false;     ///< peer FIN seen: close once the replies are out
   bool paused = false;  ///< EPOLLIN dropped for backpressure
@@ -386,11 +386,8 @@ void Server::read_ready(Loop& loop, Connection& conn) {
     if (stage_queue_ != nullptr && should_trace(loop)) {
       stage_queue_->record(now_ns() - sliced_ns);
     }
-    const std::size_t before = conn.out.size();
     serve_frame(loop, frame, conn.out);
-    if (frame.header.version == kProtocolV2 && conn.out.size() > before) {
-      conn.v2_ends.push_back(conn.out.size());
-    }
+    conn.reply_ends.push_back(conn.out.size());
   }
   loop.frames_served.fetch_add(loop.frames.size(), std::memory_order_relaxed);
   loop.frames.clear();  // the views die with the erase below
@@ -446,14 +443,13 @@ void Server::close_connection(Loop& loop, Connection& conn) {
 
 void Server::serve_frame(Loop& loop, const Frame& frame,
                          std::vector<std::uint8_t>& out) {
-  // Replies go back in the version (and with the id) the request carried.
+  // Replies go back with the id the request carried.
   const std::uint64_t seq = frame.header.seq;
-  const std::uint8_t version = frame.header.version;
 
   switch (frame.header.type) {
     case MsgType::kPing:
       if (decode_empty(frame) != DecodeStatus::kOk) break;
-      encode_pong(out, seq, version);
+      encode_pong(out, seq);
       return;
 
     case MsgType::kAccessBatch: {
@@ -482,8 +478,7 @@ void Server::serve_frame(Loop& loop, const Frame& frame,
                            .hits = outcome.hits,
                            .admitted = outcome.admitted,
                            .evictions = outcome.evictions,
-                           .dirty_evictions = outcome.dirty_evictions},
-                          version);
+                           .dirty_evictions = outcome.dirty_evictions});
       return;
     }
 
@@ -511,7 +506,7 @@ void Server::serve_frame(Loop& loop, const Frame& frame,
       reply.shadow_misses = snap.shadow_misses;
       reply.shadow_divergence = snap.shadow_divergence;
       reply.shadow_dropped = snap.shadow_dropped;
-      encode_stats_reply(out, seq, reply, version);
+      encode_stats_reply(out, seq, reply);
       return;
     }
 
@@ -524,14 +519,14 @@ void Server::serve_frame(Loop& loop, const Frame& frame,
         reply.components = static_cast<std::uint32_t>(slot->load()->size());
         reply.model_version = slot->version();
       }
-      encode_model_info_reply(out, seq, reply, version);
+      encode_model_info_reply(out, seq, reply);
       return;
     }
 
     case MsgType::kFlush:
       if (decode_empty(frame) != DecodeStatus::kOk) break;
       rt_.clear_stats();
-      encode_flush_reply(out, seq, version);
+      encode_flush_reply(out, seq);
       return;
 
     case MsgType::kMetrics: {
@@ -547,7 +542,7 @@ void Server::serve_frame(Loop& loop, const Frame& frame,
           reply.entries.resize(kMaxMetricsEntries);
         }
       }
-      encode_metrics_reply(out, seq, reply, version);
+      encode_metrics_reply(out, seq, reply);
       return;
     }
 
@@ -556,8 +551,7 @@ void Server::serve_frame(Loop& loop, const Frame& frame,
       encode_error(out, seq,
                    {.code = ErrorCode::kUnknownType,
                     .message = std::string("not a request: ") +
-                               to_string(frame.header.type)},
-                   version);
+                               to_string(frame.header.type)});
       return;
   }
   // A known request type whose payload failed validation.
@@ -565,8 +559,7 @@ void Server::serve_frame(Loop& loop, const Frame& frame,
   encode_error(out, seq,
                {.code = ErrorCode::kBadRequest,
                 .message = std::string("malformed ") +
-                           to_string(frame.header.type) + " payload"},
-               version);
+                           to_string(frame.header.type) + " payload"});
 }
 
 bool Server::flush(Loop& loop, Connection& conn) {
@@ -588,10 +581,10 @@ bool Server::flush_impl(Loop& loop, Connection& conn) {
                              conn.unsent(), MSG_NOSIGNAL);
     if (n > 0) {
       conn.out_off += static_cast<std::size_t>(n);
-      if (conn.v2_sent < conn.v2_ends.size()) ++calls;
-      while (conn.v2_sent < conn.v2_ends.size() &&
-             conn.v2_ends[conn.v2_sent] <= conn.out_off) {
-        ++conn.v2_sent;
+      ++calls;
+      while (conn.replies_sent < conn.reply_ends.size() &&
+             conn.reply_ends[conn.replies_sent] <= conn.out_off) {
+        ++conn.replies_sent;
         ++replies;
       }
       continue;
@@ -604,8 +597,8 @@ bool Server::flush_impl(Loop& loop, Connection& conn) {
   if (conn.unsent() == 0) {
     conn.out.clear();
     conn.out_off = 0;
-    conn.v2_ends.clear();
-    conn.v2_sent = 0;
+    conn.reply_ends.clear();
+    conn.replies_sent = 0;
   }
   if (calls > 0) {
     loop.writev_calls.fetch_add(calls, std::memory_order_relaxed);

@@ -21,10 +21,10 @@
 // the connection's read buffer, slices every complete frame off the
 // front, serves them in arrival order (decode, apply, encode), appends
 // each reply to the connection's single out buffer, and flushes that
-// buffer once per read slice. v1 and v2 share this one path, so replies
-// always leave in request order at any pipeline depth — v2 ids still
-// correlate them, but the server never reorders. The frame is served
-// straight from the read buffer: no copy, no queue, no other thread.
+// buffer once per read slice. Replies always leave in request order at
+// any pipeline depth — request ids still correlate them, but the server
+// never reorders. The frame is served straight from the read buffer: no
+// copy, no queue, no other thread.
 //
 // Wire backpressure: a client that pipelines requests but stops reading
 // cannot grow server memory without limit. While a connection's unsent
@@ -90,11 +90,12 @@ struct ServerStats {
   std::uint64_t requests_served = 0;  ///< individual accesses
   std::uint64_t protocol_errors = 0;  ///< stream-poison closes
   std::uint64_t error_replies = 0;    ///< well-framed ERROR replies
-  // Reply flushes of v2 connections (both 0 on pure-v1 traffic).
-  // writev_replies / writev_calls = average replies coalesced per flush
-  // syscall.
-  std::uint64_t writev_calls = 0;    ///< send syscalls carrying v2 replies
-  std::uint64_t writev_replies = 0;  ///< v2 replies fully written by them
+  // Reply flushes. writev_replies / writev_calls = average replies
+  // coalesced per flush syscall. Every frame gets exactly one reply, so
+  // writev_replies equals frames_served at quiescence unless a
+  // connection was dropped with replies unsent.
+  std::uint64_t writev_calls = 0;    ///< send syscalls carrying replies
+  std::uint64_t writev_replies = 0;  ///< replies fully written by them
   /// Times a loop stopped reading a connection because its unsent reply
   /// bytes passed kMaxUnsentReplyBytes.
   std::uint64_t backpressure_pauses = 0;
@@ -144,8 +145,7 @@ class Server {
   /// finished, else updates backpressure and the epoll mask.
   void settle(Loop& loop, Connection& conn);
   void close_connection(Loop& loop, Connection& conn);
-  /// Serves one complete frame, appending the reply to `out` (framed in
-  /// the version the request arrived with).
+  /// Serves one complete frame, appending its one reply to `out`.
   void serve_frame(Loop& loop, const Frame& frame,
                    std::vector<std::uint8_t>& out);
   /// Sends as much of the out buffer as the socket accepts. Returns false

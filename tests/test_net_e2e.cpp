@@ -4,10 +4,11 @@
 // hit/miss/inference counts to the in-process replay_trace driver, for a
 // classic policy and for the trained GMM policy, including the warm-up
 // discard (client-side FLUSH at the same request index replay clears
-// stats at). The V2 tests hold the same bar over the negotiated
-// multiplexed protocol: the server answers one connection in arrival
-// order at any pipeline depth, so deep pipelines through a multi-loop
-// server stay exact. Suite name starts with "Net" for the CI TSan job.
+// stats at). The V2 tests hold the same bar with requests pipelined and
+// completions matched by id: the server answers one connection in
+// arrival order at any pipeline depth, so deep pipelines through a
+// multi-loop server stay exact. Suite name starts with "Net" for the CI
+// TSan job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,17 +44,12 @@ std::vector<net::WireAccess> wire_stream(const trace::Trace& t,
 
 /// Replays `stream` over one connection through the shared driver the
 /// loadgen and net bench use, FLUSHing the server at exactly the given
-/// clear points ({} = never), then returns STATS. `v2` negotiates the
-/// multiplexed protocol first (and asserts the server granted it).
+/// clear points ({} = never), then returns STATS.
 net::StatsReply serve_stream(std::uint16_t port,
                              const std::vector<net::WireAccess>& stream,
                              std::vector<std::size_t> clear_points,
-                             std::size_t batch, bool v2 = false,
-                             std::size_t pipeline = 2) {
+                             std::size_t batch, std::size_t pipeline = 2) {
   net::Client client = net::Client::connect("127.0.0.1", port);
-  if (v2) {
-    EXPECT_EQ(client.negotiate(), net::kProtocolV2);
-  }
   net::ReplayOptions opts;
   opts.batch = batch;
   opts.pipeline = pipeline;
@@ -170,8 +166,8 @@ TEST(NetE2E, BatchSizeDoesNotChangeServedCounts) {
 TEST(NetE2E, V2MultipleClearPointsMatchInProcessReplayExactly) {
   // A capture with several FLUSH markers replays exactly on one
   // connection: every clear point lands on its recorded request index,
-  // over v1 and over the negotiated v2 protocol alike. Mirrors
-  // runtime::ReplayConfig::clear_points semantics.
+  // on one loop at pipeline 2 and on two loops at pipeline 1 alike.
+  // Mirrors runtime::ReplayConfig::clear_points semantics.
   const trace::Trace t = test_util::zipf_trace(30000, 1024, 0.9, 0xB7);
   const runtime::RuntimeConfig rcfg{.cache = test_util::tiny_cache(32, 4),
                                     .shards = 1};
@@ -184,22 +180,21 @@ TEST(NetE2E, V2MultipleClearPointsMatchInProcessReplayExactly) {
   const runtime::ReplayResult replayed =
       runtime::replay_trace(reference, t, serve_cfg);
 
-  for (const bool v2 : {false, true}) {
+  for (const bool two_loops : {false, true}) {
     runtime::Runtime rt(rcfg, cache::LruPolicy());
-    // Two event loops on the v2 pass, pipeline 1.
-    net::Server server(rt, {.port = 0, .workers = v2 ? 2u : 1u});
+    net::Server server(rt, {.port = 0, .workers = two_loops ? 2u : 1u});
     server.start();
     const net::StatsReply s =
         serve_stream(server.port(), wire_stream(t, serve_cfg.transform),
-                     points, 64, v2, /*pipeline=*/v2 ? 1 : 2);
+                     points, 64, /*pipeline=*/two_loops ? 1 : 2);
     server.stop();
     expect_counts_match(s, replayed.run);
   }
 }
 
 TEST(NetE2E, V2OutOfOrderCompletionsMatchInProcessReplayExactly) {
-  // The PR 4 trace-equivalence bar carried onto protocol v2 with two
-  // requests of this connection in flight at once: each ACCESS batch
+  // The trace-equivalence bar with two requests of this connection in
+  // flight at once: each ACCESS batch
   // travels with a PING, and the test absorbs the PONG and the ACCESS
   // reply in whichever order they arrive (the server answers in request
   // order, but the client-side contract is order-free). The ACCESS stream
@@ -221,7 +216,6 @@ TEST(NetE2E, V2OutOfOrderCompletionsMatchInProcessReplayExactly) {
   net::Server server(served_rt, {.port = 0, .workers = 2});
   server.start();
   net::Client client = net::Client::connect("127.0.0.1", server.port());
-  ASSERT_EQ(client.negotiate(), net::kProtocolV2);
 
   const auto stream = wire_stream(t, serve_cfg.transform);
   std::uint64_t completed = 0;
@@ -253,18 +247,18 @@ TEST(NetE2E, V2OutOfOrderCompletionsMatchInProcessReplayExactly) {
   expect_counts_match(s, replayed.run);
 }
 
-/// Replays `stream` over v2 at pipeline 8 through a 2-loop server. An
+/// Replays `stream` at pipeline 8 through a 2-loop server. An
 /// idle connection is accepted first, so the replay lands on loop 1 and
 /// its socket travels through the accept handoff.
-net::StatsReply serve_v2_on_two_loops(
+net::StatsReply serve_on_two_loops(
     runtime::Runtime& rt, const std::vector<net::WireAccess>& stream,
     std::size_t warmup) {
   net::Server server(rt, {.port = 0, .workers = 2});
   server.start();
   net::Client idle = net::Client::connect("127.0.0.1", server.port());
   idle.ping();
-  const net::StatsReply s = serve_stream(server.port(), stream, {warmup}, 64,
-                                         /*v2=*/true, /*pipeline=*/8);
+  const net::StatsReply s =
+      serve_stream(server.port(), stream, {warmup}, 64, /*pipeline=*/8);
   server.stop();
   return s;
 }
@@ -285,7 +279,7 @@ TEST(NetE2E, V2PipelinedLruReplayOnTwoLoopsMatchesInProcessReplayExactly) {
       serve_cfg.warmup_fraction * static_cast<double>(t.size()));
   runtime::Runtime served_rt(rcfg, cache::LruPolicy());
   expect_counts_match(
-      serve_v2_on_two_loops(served_rt, wire_stream(t, serve_cfg.transform),
+      serve_on_two_loops(served_rt, wire_stream(t, serve_cfg.transform),
                             warmup),
       replayed.run);
 }
@@ -312,7 +306,7 @@ TEST(NetE2E, V2PipelinedGmmReplayOnTwoLoopsMatchesInProcessReplayExactly) {
       std::clamp(serve_cfg.warmup_fraction, 0.0, 0.9) *
       static_cast<double>(t.size()));
   const auto served_rt = system.make_runtime(rcfg, strategy, threshold);
-  const net::StatsReply s = serve_v2_on_two_loops(
+  const net::StatsReply s = serve_on_two_loops(
       *served_rt, wire_stream(t, serve_cfg.transform), warmup);
   expect_counts_match(s, replayed.run);
   EXPECT_GT(s.inferences, 0u);

@@ -1,5 +1,4 @@
-// Decoder robustness sweep: every frame type, in both protocol versions,
-// pushed through the decoders at every truncation point, with seeded
+// Decoder robustness sweep: every frame type pushed through the decoders at every truncation point, with seeded
 // single-byte mutations, and as pure random garbage. The contract under
 // test is narrow and absolute — decode_frame / decode_* always return a
 // DecodeStatus and never crash, over-read, or report consuming more
@@ -27,69 +26,55 @@ struct CorpusFrame {
   Bytes bytes;
 };
 
-/// One well-formed frame of every message type in `version`.
-std::vector<CorpusFrame> corpus(std::uint8_t version) {
-  const std::string v = version == kProtocolV2 ? "v2/" : "v1/";
-  // v2 exercises ids beyond the u32 range the v1 header can carry.
-  const std::uint64_t seq =
-      version == kProtocolV2 ? 0xA1B2C3D400000007ull : 0x00C0FFEEull;
+/// One well-formed frame of every message type.
+std::vector<CorpusFrame> corpus() {
+  // An id beyond the u32 range, so every byte of the id field is live.
+  const std::uint64_t seq = 0xA1B2C3D400000007ull;
   std::vector<CorpusFrame> frames;
   const auto add = [&](const char* name, auto encode) {
-    CorpusFrame f{v + name, {}};
+    CorpusFrame f{name, {}};
     encode(f.bytes);
     frames.push_back(std::move(f));
   };
-  add("ping", [&](Bytes& b) { encode_ping(b, seq, version); });
-  add("pong", [&](Bytes& b) { encode_pong(b, seq, version); });
+  add("ping", [&](Bytes& b) { encode_ping(b, seq); });
+  add("pong", [&](Bytes& b) { encode_pong(b, seq); });
   add("access_batch", [&](Bytes& b) {
     encode_access_batch(b, seq,
                         std::vector<WireAccess>{
                             {.page = 1, .timestamp = 2, .is_write = false},
                             {.page = ~0ull, .timestamp = 3, .is_write = true},
-                        },
-                        version);
+                        });
   });
   add("access_reply", [&](Bytes& b) {
     encode_access_reply(b, seq,
-                        AccessReply{.count = 5, .hits = 3, .admitted = 2},
-                        version);
+                        AccessReply{.count = 5, .hits = 3, .admitted = 2});
   });
-  add("stats_request",
-      [&](Bytes& b) { encode_stats_request(b, seq, version); });
+  add("stats_request", [&](Bytes& b) { encode_stats_request(b, seq); });
   add("stats_reply", [&](Bytes& b) {
-    encode_stats_reply(b, seq, StatsReply{.accesses = 9, .hits = 4}, version);
+    encode_stats_reply(b, seq, StatsReply{.accesses = 9, .hits = 4});
   });
   add("model_info_request",
-      [&](Bytes& b) { encode_model_info_request(b, seq, version); });
+      [&](Bytes& b) { encode_model_info_request(b, seq); });
   add("model_info_reply", [&](Bytes& b) {
     encode_model_info_reply(
-        b, seq, ModelInfoReply{.shards = 4, .policy_name = "GMM"}, version);
+        b, seq, ModelInfoReply{.shards = 4, .policy_name = "GMM"});
   });
-  add("flush_request",
-      [&](Bytes& b) { encode_flush_request(b, seq, version); });
-  add("flush_reply", [&](Bytes& b) { encode_flush_reply(b, seq, version); });
+  add("flush_request", [&](Bytes& b) { encode_flush_request(b, seq); });
+  add("flush_reply", [&](Bytes& b) { encode_flush_reply(b, seq); });
   add("error", [&](Bytes& b) {
     encode_error(b, seq,
-                 {.code = ErrorCode::kBadRequest, .message = "bad batch"},
-                 version);
+                 {.code = ErrorCode::kBadRequest, .message = "bad batch"});
   });
   add("metrics_request",
-      [&](Bytes& b) { encode_metrics_request(b, seq, version); });
+      [&](Bytes& b) { encode_metrics_request(b, seq); });
   add("metrics_reply", [&](Bytes& b) {
     MetricsReply reply;
     reply.entries.push_back({"icgmm_cache_accesses", 12345});
     reply.entries.push_back({"icgmm_server_stage_apply_ns_count", ~0ull});
     reply.entries.push_back({"", 0});  // empty names are legal on the wire
-    encode_metrics_reply(b, seq, reply, version);
+    encode_metrics_reply(b, seq, reply);
   });
   return frames;
-}
-
-std::vector<CorpusFrame> full_corpus() {
-  std::vector<CorpusFrame> all = corpus(kProtocolVersion);
-  std::vector<CorpusFrame> v2 = corpus(kProtocolV2);
-  all.insert(all.end(), v2.begin(), v2.end());
-  return all;
 }
 
 bool valid_status(DecodeStatus st) {
@@ -153,7 +138,7 @@ void decode_everything(const Bytes& buf) {
 }
 
 TEST(NetFuzz, EveryTruncationPointOfEveryFrameNeedsMoreOrDecodes) {
-  for (const CorpusFrame& f : full_corpus()) {
+  for (const CorpusFrame& f : corpus()) {
     SCOPED_TRACE(f.name);
     for (std::size_t len = 0; len <= f.bytes.size(); ++len) {
       Frame frame;
@@ -177,7 +162,7 @@ TEST(NetFuzz, SingleByteMutationsAlwaysReturnAStatus) {
   // only the no-crash/no-over-read contract is asserted, which is what
   // the sanitizer job turns into a hard failure.)
   Rng rng(0xF022u);
-  for (const CorpusFrame& f : full_corpus()) {
+  for (const CorpusFrame& f : corpus()) {
     SCOPED_TRACE(f.name);
     for (std::size_t pos = 0; pos < f.bytes.size(); ++pos) {
       for (int variant = 0; variant < 4; ++variant) {
@@ -195,7 +180,7 @@ TEST(NetFuzz, MutatedFramesTruncatedAtEveryPointStillReturnAStatus) {
   // or version field with the stream cut mid-frame must still land in a
   // status (typically kNeedMore or a kBad*), never a read past the end.
   Rng rng(0xF023u);
-  for (const CorpusFrame& f : full_corpus()) {
+  for (const CorpusFrame& f : corpus()) {
     SCOPED_TRACE(f.name);
     for (int variant = 0; variant < 8; ++variant) {
       Bytes mutated = f.bytes;
@@ -230,7 +215,7 @@ TEST(NetFuzz, RandomGarbageBuffersAlwaysReturnAStatus) {
 TEST(NetFuzz, GarbageBehindAValidMagicPrefixAlwaysReturnsAStatus) {
   // Random bytes are unlikely to pass the magic check, which would leave
   // the deeper header/payload validation unexercised — so pin the magic
-  // (and sometimes a valid version) and randomize everything after it.
+  // (and sometimes the valid version) and randomize everything after it.
   Rng rng(0xF025u);
   for (int round = 0; round < 2000; ++round) {
     const std::size_t len = 4 + rng.below(92);
@@ -243,7 +228,7 @@ TEST(NetFuzz, GarbageBehindAValidMagicPrefixAlwaysReturnsAStatus) {
     buf[2] = 'G';
     buf[3] = 'M';
     if (buf.size() > 4 && round % 2 == 0) {
-      buf[4] = round % 4 == 0 ? kProtocolVersion : kProtocolV2;
+      buf[4] = kProtocolV2;
     }
     decode_everything(buf);
   }

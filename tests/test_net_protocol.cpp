@@ -25,28 +25,6 @@ Frame must_decode(const Bytes& buf, std::size_t* consumed_out = nullptr) {
   return frame;
 }
 
-TEST(NetProtocol, HeaderWireLayoutIsLittleEndianAndPinned) {
-  Bytes buf;
-  encode_ping(buf, 0x11223344u);
-  ASSERT_EQ(buf.size(), kHeaderBytes);
-  // magic "ICGM" — the ASCII bytes in stream order.
-  EXPECT_EQ(buf[0], 'I');
-  EXPECT_EQ(buf[1], 'C');
-  EXPECT_EQ(buf[2], 'G');
-  EXPECT_EQ(buf[3], 'M');
-  EXPECT_EQ(buf[4], kProtocolVersion);
-  EXPECT_EQ(buf[5], static_cast<std::uint8_t>(MsgType::kPing));
-  EXPECT_EQ(buf[6], 0);  // flags lo
-  EXPECT_EQ(buf[7], 0);  // flags hi
-  // seq, little-endian.
-  EXPECT_EQ(buf[8], 0x44);
-  EXPECT_EQ(buf[9], 0x33);
-  EXPECT_EQ(buf[10], 0x22);
-  EXPECT_EQ(buf[11], 0x11);
-  // payload_len == 0.
-  EXPECT_EQ(get_u32(buf.data() + 12), 0u);
-}
-
 TEST(NetProtocol, LittleEndianPrimitivesRoundTrip) {
   Bytes buf;
   put_u16(buf, 0xBEEF);
@@ -86,7 +64,7 @@ TEST(NetProtocol, AccessBatchRoundTrip) {
   };
   Bytes buf;
   encode_access_batch(buf, 99, accesses);
-  ASSERT_EQ(buf.size(), kHeaderBytes + 4 + 3 * kAccessWireBytes);
+  ASSERT_EQ(buf.size(), kHeaderBytesV2 + 4 + 3 * kAccessWireBytes);
   const Frame f = must_decode(buf);
   EXPECT_EQ(f.header.type, MsgType::kAccessBatch);
   EXPECT_EQ(f.header.seq, 99u);
@@ -157,7 +135,7 @@ TEST(NetProtocol, StatsRoundTrip) {
   Bytes buf;
   encode_stats_reply(buf, 3, reply);
   // Layout pin: 20 u64 counters since the shadow fields joined.
-  ASSERT_EQ(buf.size(), kHeaderBytes + 20 * 8);
+  ASSERT_EQ(buf.size(), kHeaderBytesV2 + 20 * 8);
   StatsReply decoded;
   ASSERT_EQ(decode_stats_reply(must_decode(buf), decoded), DecodeStatus::kOk);
   EXPECT_EQ(decoded.accesses, reply.accesses);
@@ -267,12 +245,12 @@ TEST(NetProtocol, BadMagicRejected) {
 }
 
 TEST(NetProtocol, BadVersionRejected) {
-  // Version 2 is now a valid prefix (the v2 header), so the unknown
-  // versions are 0, 3, and up — all stream poison at the header stage.
-  // This rejection rule IS the negotiation story: an old server answers
-  // a v2 probe by dropping the connection, so the client falls back.
-  for (const std::uint8_t bad : {std::uint8_t{0}, std::uint8_t{3},
-                                 std::uint8_t{0x7F}, std::uint8_t{0xFF}}) {
+  // 2 is the only valid version byte. Every other value — 1, the
+  // retired 16-byte order-correlated format, included — is stream poison
+  // at the header stage.
+  for (const std::uint8_t bad : {std::uint8_t{0}, std::uint8_t{1},
+                                 std::uint8_t{3}, std::uint8_t{0x7F},
+                                 std::uint8_t{0xFF}}) {
     Bytes buf;
     encode_ping(buf, 1);
     buf[4] = bad;
@@ -283,11 +261,11 @@ TEST(NetProtocol, BadVersionRejected) {
   }
 }
 
-// --- protocol v2 ------------------------------------------------------------
+// --- the v2 header -----------------------------------------------------------
 
 TEST(NetProtocol, V2HeaderWireLayoutIsLittleEndianAndPinned) {
   Bytes buf;
-  encode_ping(buf, 0x1122334455667788ull, kProtocolV2);
+  encode_ping(buf, 0x1122334455667788ull);
   ASSERT_EQ(buf.size(), kHeaderBytesV2);
   EXPECT_EQ(buf[0], 'I');
   EXPECT_EQ(buf[1], 'C');
@@ -307,20 +285,18 @@ TEST(NetProtocol, V2HeaderWireLayoutIsLittleEndianAndPinned) {
 }
 
 TEST(NetProtocol, V2RoundTripsEveryMessageType) {
-  // Same payload formats as v1, 24-byte header, u64 ids beyond u32 range.
+  // Every message type under the 24-byte header, u64 ids beyond u32 range.
   const std::uint64_t id = 0xDEADBEEF00000001ull;
 
   Bytes ping;
-  encode_ping(ping, id, kProtocolV2);
+  encode_ping(ping, id);
   Frame f = must_decode(ping);
-  EXPECT_EQ(f.header.version, kProtocolV2);
   EXPECT_EQ(f.header.seq, id);
   EXPECT_EQ(decode_empty(f), DecodeStatus::kOk);
 
   Bytes batch;
   encode_access_batch(batch, id + 1,
-                      std::vector<WireAccess>{{.page = 9, .timestamp = 3}},
-                      kProtocolV2);
+                      std::vector<WireAccess>{{.page = 9, .timestamp = 3}});
   ASSERT_EQ(batch.size(), kHeaderBytesV2 + 4 + kAccessWireBytes);
   f = must_decode(batch);
   EXPECT_EQ(f.header.seq, id + 1);
@@ -330,8 +306,7 @@ TEST(NetProtocol, V2RoundTripsEveryMessageType) {
   EXPECT_EQ(accesses[0].page, 9u);
 
   Bytes reply;
-  encode_access_reply(reply, id + 2, AccessReply{.count = 3, .hits = 2},
-                      kProtocolV2);
+  encode_access_reply(reply, id + 2, AccessReply{.count = 3, .hits = 2});
   f = must_decode(reply);
   AccessReply r;
   ASSERT_EQ(decode_access_reply(f, r), DecodeStatus::kOk);
@@ -339,34 +314,31 @@ TEST(NetProtocol, V2RoundTripsEveryMessageType) {
   EXPECT_EQ(r.hits, 2u);
 
   Bytes stats_req;
-  encode_stats_request(stats_req, id + 3, kProtocolV2);
+  encode_stats_request(stats_req, id + 3);
   EXPECT_EQ(must_decode(stats_req).header.type, MsgType::kStats);
   Bytes stats_rep;
-  encode_stats_reply(stats_rep, id + 3, StatsReply{.accesses = 77},
-                     kProtocolV2);
+  encode_stats_reply(stats_rep, id + 3, StatsReply{.accesses = 77});
   StatsReply sr;
   ASSERT_EQ(decode_stats_reply(must_decode(stats_rep), sr), DecodeStatus::kOk);
   EXPECT_EQ(sr.accesses, 77u);
 
   Bytes info;
   encode_model_info_reply(info, id + 4,
-                          ModelInfoReply{.shards = 2, .policy_name = "lru"},
-                          kProtocolV2);
+                          ModelInfoReply{.shards = 2, .policy_name = "lru"});
   ModelInfoReply mi;
   ASSERT_EQ(decode_model_info_reply(must_decode(info), mi), DecodeStatus::kOk);
   EXPECT_EQ(mi.policy_name, "lru");
 
   Bytes flush_req;
-  encode_flush_request(flush_req, id + 5, kProtocolV2);
+  encode_flush_request(flush_req, id + 5);
   EXPECT_EQ(must_decode(flush_req).header.type, MsgType::kFlush);
   Bytes flush_rep;
-  encode_flush_reply(flush_rep, id + 5, kProtocolV2);
+  encode_flush_reply(flush_rep, id + 5);
   EXPECT_EQ(decode_empty(must_decode(flush_rep)), DecodeStatus::kOk);
 
   Bytes err;
   encode_error(err, id + 6,
-               {.code = ErrorCode::kBadRequest, .message = "nope"},
-               kProtocolV2);
+               {.code = ErrorCode::kBadRequest, .message = "nope"});
   ErrorReply er;
   ASSERT_EQ(decode_error(must_decode(err), er), DecodeStatus::kOk);
   EXPECT_EQ(er.message, "nope");
@@ -377,7 +349,7 @@ TEST(NetProtocol, V2ReservedHeaderTailMustBeZero) {
   // a nonzero value is a framing error, reserved for future meaning.
   for (const std::size_t byte : {20u, 21u, 22u, 23u}) {
     Bytes buf;
-    encode_ping(buf, 1, kProtocolV2);
+    encode_ping(buf, 1);
     buf[byte] = 0x01;
     Frame f;
     std::size_t consumed = 0;
@@ -387,11 +359,10 @@ TEST(NetProtocol, V2ReservedHeaderTailMustBeZero) {
 }
 
 TEST(NetProtocol, V2TruncatedHeaderNeedsMoreAtEveryPrefixLength) {
-  // A v2 header prefix — including lengths 16..23, which would be a
-  // complete v1 header — must wait for all 24 bytes, never misparse.
+  // A header prefix — including lengths 16..23, the size of the retired
+  // v1 header — must wait for all 24 bytes, never misparse.
   Bytes full;
-  encode_access_batch(full, 42, std::vector<WireAccess>{{.page = 1}},
-                      kProtocolV2);
+  encode_access_batch(full, 42, std::vector<WireAccess>{{.page = 1}});
   for (std::size_t len = 0; len < full.size(); ++len) {
     Frame f;
     std::size_t consumed = 0;
@@ -399,32 +370,6 @@ TEST(NetProtocol, V2TruncatedHeaderNeedsMoreAtEveryPrefixLength) {
               DecodeStatus::kNeedMore)
         << "prefix length " << len;
   }
-}
-
-TEST(NetProtocol, MixedVersionStreamSlicesFrameByFrame) {
-  // The server decodes each frame in the version it arrived with; a
-  // connection may interleave versions mid-stream (the negotiate probe
-  // does exactly this: v1 traffic, then a v2 PING).
-  Bytes stream;
-  encode_ping(stream, 1);
-  encode_ping(stream, 0x100000000ull, kProtocolV2);
-  encode_stats_request(stream, 2);
-
-  std::span<const std::uint8_t> rest(stream);
-  Frame f;
-  std::size_t consumed = 0;
-  ASSERT_EQ(decode_frame(rest, f, consumed), DecodeStatus::kOk);
-  EXPECT_EQ(f.header.version, kProtocolVersion);
-  EXPECT_EQ(f.header.seq, 1u);
-  rest = rest.subspan(consumed);
-  ASSERT_EQ(decode_frame(rest, f, consumed), DecodeStatus::kOk);
-  EXPECT_EQ(f.header.version, kProtocolV2);
-  EXPECT_EQ(f.header.seq, 0x100000000ull);
-  rest = rest.subspan(consumed);
-  ASSERT_EQ(decode_frame(rest, f, consumed), DecodeStatus::kOk);
-  EXPECT_EQ(f.header.type, MsgType::kStats);
-  rest = rest.subspan(consumed);
-  EXPECT_TRUE(rest.empty());
 }
 
 TEST(NetProtocol, UnknownTypeAndReservedFlagsRejected) {
@@ -447,10 +392,10 @@ TEST(NetProtocol, OversizedDeclaredLengthRejectedBeforePayloadArrives) {
   // Declare a payload over the cap. Header alone must already reject —
   // a server must not wait for (or allocate) a bogus gigabyte.
   const std::uint32_t huge = kMaxPayload + 1;
-  buf[12] = static_cast<std::uint8_t>(huge);
-  buf[13] = static_cast<std::uint8_t>(huge >> 8);
-  buf[14] = static_cast<std::uint8_t>(huge >> 16);
-  buf[15] = static_cast<std::uint8_t>(huge >> 24);
+  buf[16] = static_cast<std::uint8_t>(huge);
+  buf[17] = static_cast<std::uint8_t>(huge >> 8);
+  buf[18] = static_cast<std::uint8_t>(huge >> 16);
+  buf[19] = static_cast<std::uint8_t>(huge >> 24);
   Frame f;
   std::size_t consumed = 0;
   EXPECT_EQ(decode_frame(buf, f, consumed), DecodeStatus::kBadLength);
@@ -461,10 +406,10 @@ TEST(NetProtocol, EmptyBatchRejected) {
   Bytes buf;
   encode_access_batch(buf, 1, std::vector<WireAccess>{{.page = 1}});
   // Rewrite payload to just the count field, zeroed.
-  buf.resize(kHeaderBytes + 4);
-  buf[12] = 4;  // payload_len = 4
-  buf[13] = buf[14] = buf[15] = 0;
-  buf[16] = buf[17] = buf[18] = buf[19] = 0;  // count = 0
+  buf.resize(kHeaderBytesV2 + 4);
+  buf[16] = 4;  // payload_len = 4
+  buf[17] = buf[18] = buf[19] = 0;
+  buf[24] = buf[25] = buf[26] = buf[27] = 0;  // count = 0
   const Frame f = must_decode(buf);
   std::vector<WireAccess> out;
   EXPECT_EQ(decode_access_batch(f, out), DecodeStatus::kBadPayload);
@@ -475,7 +420,7 @@ TEST(NetProtocol, BatchCountInconsistentWithPayloadRejected) {
   encode_access_batch(buf, 1, std::vector<WireAccess>{{.page = 1},
                                                       {.page = 2}});
   // Claim 3 records while carrying 2.
-  buf[kHeaderBytes] = 3;
+  buf[kHeaderBytesV2] = 3;
   Frame f;
   std::size_t consumed = 0;
   ASSERT_EQ(decode_frame(buf, f, consumed), DecodeStatus::kOk);
@@ -486,10 +431,10 @@ TEST(NetProtocol, BatchCountInconsistentWithPayloadRejected) {
   Bytes buf2;
   encode_access_batch(buf2, 1, std::vector<WireAccess>{{.page = 1}});
   const std::uint32_t over = kMaxBatch + 1;
-  buf2[kHeaderBytes] = static_cast<std::uint8_t>(over);
-  buf2[kHeaderBytes + 1] = static_cast<std::uint8_t>(over >> 8);
-  buf2[kHeaderBytes + 2] = static_cast<std::uint8_t>(over >> 16);
-  buf2[kHeaderBytes + 3] = static_cast<std::uint8_t>(over >> 24);
+  buf2[kHeaderBytesV2] = static_cast<std::uint8_t>(over);
+  buf2[kHeaderBytesV2 + 1] = static_cast<std::uint8_t>(over >> 8);
+  buf2[kHeaderBytesV2 + 2] = static_cast<std::uint8_t>(over >> 16);
+  buf2[kHeaderBytesV2 + 3] = static_cast<std::uint8_t>(over >> 24);
   ASSERT_EQ(decode_frame(buf2, f, consumed), DecodeStatus::kOk);
   EXPECT_EQ(decode_access_batch(f, out), DecodeStatus::kBadPayload);
 }
@@ -497,7 +442,7 @@ TEST(NetProtocol, BatchCountInconsistentWithPayloadRejected) {
 TEST(NetProtocol, ReservedAccessFlagBitsRejected) {
   Bytes buf;
   encode_access_batch(buf, 1, std::vector<WireAccess>{{.page = 1}});
-  buf[kHeaderBytes + 4 + 16] = 0x02;  // flags byte: reserved bit set
+  buf[kHeaderBytesV2 + 4 + 16] = 0x02;  // flags byte: reserved bit set
   Frame f;
   std::size_t consumed = 0;
   ASSERT_EQ(decode_frame(buf, f, consumed), DecodeStatus::kOk);
@@ -509,7 +454,7 @@ TEST(NetProtocol, WrongPayloadSizeForFixedSizeRepliesRejected) {
   Bytes buf;
   encode_access_reply(buf, 1, AccessReply{.count = 1});
   buf.pop_back();
-  buf[12] = 19;  // payload_len 20 -> 19
+  buf[16] = 19;  // payload_len 20 -> 19
   Frame f;
   std::size_t consumed = 0;
   ASSERT_EQ(decode_frame(buf, f, consumed), DecodeStatus::kOk);
@@ -519,7 +464,7 @@ TEST(NetProtocol, WrongPayloadSizeForFixedSizeRepliesRejected) {
   Bytes ping;
   encode_ping(ping, 1);
   ping.push_back(0);  // non-empty payload on an empty-payload type
-  ping[12] = 1;
+  ping[16] = 1;
   ASSERT_EQ(decode_frame(ping, f, consumed), DecodeStatus::kOk);
   EXPECT_EQ(decode_empty(f), DecodeStatus::kBadPayload);
 }

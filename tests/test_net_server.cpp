@@ -1,7 +1,7 @@
 // Server + Client over real loopback sockets: lifecycle, every RPC type,
 // pipelined batches, concurrent connections on several event loops
 // hammering one runtime (the TSan target), malformed-stream rejection,
-// wire backpressure, FLUSH semantics, the client's out-of-order v2
+// wire backpressure, FLUSH semantics, the client's out-of-order id
 // correlation, and the connection pool. Suite name starts with "Net" so
 // the CI thread-sanitizer job picks it up via -R '^(Runtime|PolicyClone|Net)'.
 #include <gtest/gtest.h>
@@ -225,12 +225,11 @@ TEST(NetServer, GarbageStreamClosesConnectionAndCountsProtocolError) {
   net::encode_ping(oversized, 2);
   const std::uint32_t huge = net::kMaxPayload + 1;
   for (int i = 0; i < 4; ++i) {
-    oversized[12 + i] = static_cast<std::uint8_t>(huge >> (8 * i));
+    oversized[16 + i] = static_cast<std::uint8_t>(huge >> (8 * i));
   }
   EXPECT_TRUE(raw_send_expect_close(server.port(), oversized));
 
-  // Unknown protocol version (2 is now the valid v2 header, so the first
-  // unknown version is 3).
+  // Unknown protocol version (2 is the only valid one).
   std::vector<std::uint8_t> bad_version;
   net::encode_ping(bad_version, 3);
   bad_version[4] = net::kProtocolV2 + 1;
@@ -374,9 +373,7 @@ TEST(NetServer, V2NegotiateAndEveryRpcRoundTrips) {
   server.start();
   net::Client client = net::Client::connect("127.0.0.1", server.port());
 
-  EXPECT_EQ(client.version(), net::kProtocolVersion);
   EXPECT_EQ(client.negotiate(), net::kProtocolV2);
-  EXPECT_EQ(client.version(), net::kProtocolV2);
   EXPECT_EQ(client.negotiate(), net::kProtocolV2);  // idempotent
 
   client.ping();
@@ -403,10 +400,12 @@ TEST(NetServer, V2NegotiateAndEveryRpcRoundTrips) {
 
   const net::ServerStats ss = server.stats();
   EXPECT_EQ(ss.protocol_errors, 0u);
-  // Every v2 reply above left through a counted flush syscall.
+  // Every reply above left through a counted flush syscall.
   EXPECT_GT(ss.writev_calls, 0u);
   EXPECT_GE(ss.writev_replies, ss.writev_calls);
   server.stop();
+  // At quiescence each served frame's one reply has been counted.
+  EXPECT_EQ(server.stats().writev_replies, server.stats().frames_served);
 }
 
 /// Connects a raw loopback socket (no Client framing); -1 on failure.
@@ -441,7 +440,7 @@ TEST(NetServer, ClientThatNeverReadsIsPausedAndOthersStillServed) {
 
   const auto one = make_accesses(1, 0x51);
   std::vector<std::uint8_t> reply;
-  net::encode_access_reply(reply, 1, {.count = 1}, net::kProtocolV2);
+  net::encode_access_reply(reply, 1, {.count = 1});
   const std::size_t reply_bytes = reply.size();
   // Bound on replies the server may have produced for a stalled reader:
   // the cap, one maximal read slice (a one-access request frame is no
@@ -462,7 +461,7 @@ TEST(NetServer, ClientThatNeverReadsIsPausedAndOthersStillServed) {
   const std::size_t frames = 3 * bound_replies;
   std::vector<std::uint8_t> wire;
   for (std::size_t i = 0; i < frames; ++i) {
-    net::encode_access_batch(wire, i + 1, one, net::kProtocolV2);
+    net::encode_access_batch(wire, i + 1, one);
   }
 
   const int fd = raw_connect(server.port(), /*rcvbuf=*/4096);
@@ -529,130 +528,32 @@ TEST(NetServer, ClientThatNeverReadsIsPausedAndOthersStillServed) {
   server.stop();
 }
 
-TEST(NetServer, V1ClientBytesAreByteIdenticalAgainstTheV2Server) {
-  // The compatibility contract: a v1 client against the new server gets
-  // byte-for-byte the replies the old server produced. Checked at the raw
-  // byte level — same header layout, same 32-bit seq echo, same payload —
-  // with the expected ACCESS reply computed from a twin runtime.
-  const runtime::RuntimeConfig rcfg = small_runtime_config();
-  runtime::Runtime rt(rcfg, cache::LruPolicy());
+TEST(NetServer, V1FramedPingClosesTheConnectionAsOneProtocolError) {
+  // The retired 16-byte v1 header is stream poison like any other unknown
+  // version: no reply, the connection closes, one protocol error counted,
+  // and other connections keep being served.
+  runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
   net::Server server(rt, {.port = 0, .workers = 1});
   server.start();
+  net::Client good = net::Client::connect("127.0.0.1", server.port());
+  good.ping();
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  timeval tv{.tv_sec = 5, .tv_usec = 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  const auto recv_exactly = [&](std::size_t n) {
-    std::vector<std::uint8_t> got(n);
-    std::size_t off = 0;
-    while (off < n) {
-      const ssize_t r = ::recv(fd, got.data() + off, n - off, 0);
-      if (r <= 0) break;
-      off += static_cast<std::size_t>(r);
-    }
-    EXPECT_EQ(off, n);
-    return got;
-  };
+  // magic "ICGM", version 1, type PING, flags 0, u32 seq, u32 payload_len.
+  std::vector<std::uint8_t> v1_ping;
+  net::put_u32(v1_ping, net::kMagic);
+  v1_ping.push_back(1);
+  v1_ping.push_back(static_cast<std::uint8_t>(net::MsgType::kPing));
+  net::put_u16(v1_ping, 0);
+  net::put_u32(v1_ping, 1);
+  net::put_u32(v1_ping, 0);
+  ASSERT_EQ(v1_ping.size(), 16u);
+  EXPECT_TRUE(raw_send_expect_close(server.port(), v1_ping));
 
-  // PING -> PONG, byte-identical.
-  std::vector<std::uint8_t> wire;
-  net::encode_ping(wire, 1);
-  ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(wire.size()));
-  std::vector<std::uint8_t> expected;
-  net::encode_pong(expected, 1);
-  EXPECT_EQ(recv_exactly(expected.size()), expected);
-
-  // ACCESS_BATCH -> the exact reply bytes a twin runtime predicts.
-  const auto accesses = make_accesses(200, 0x23);
-  wire.clear();
-  net::encode_access_batch(wire, 2, accesses);
-  ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(wire.size()));
-  runtime::Runtime twin(rcfg, cache::LruPolicy());
-  std::vector<runtime::Access> batch;
-  batch.reserve(accesses.size());
-  for (const net::WireAccess& a : accesses) {
-    batch.push_back({.page = a.page,
-                     .timestamp = a.timestamp,
-                     .is_write = a.is_write});
-  }
-  runtime::BatchOutcome outcome;
-  twin.apply_batch(batch, outcome);
-  expected.clear();
-  net::encode_access_reply(expected, 2,
-                           {.count = outcome.count,
-                            .hits = outcome.hits,
-                            .admitted = outcome.admitted,
-                            .evictions = outcome.evictions,
-                            .dirty_evictions = outcome.dirty_evictions});
-  EXPECT_EQ(recv_exactly(expected.size()), expected);
-
-  ::close(fd);
+  good.ping();
+  const net::ServerStats ss = server.stats();
+  EXPECT_EQ(ss.protocol_errors, 1u);
+  EXPECT_EQ(ss.error_replies, 0u);
   server.stop();
-}
-
-TEST(NetClient, NegotiateFallsBackToV1WhenTheServerDropsTheProbe) {
-  // Simulated v1-only server: drops the first connection on receiving the
-  // v2 probe (exactly what the old server's kBadVersion poison does),
-  // then answers a v1 PING on the reconnect. negotiate() must hide all
-  // of this and leave a working v1 connection.
-  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(lfd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  ASSERT_EQ(::listen(lfd, 4), 0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  const std::uint16_t port = ntohs(addr.sin_port);
-
-  std::thread responder([lfd] {
-    // First connection: swallow the probe bytes, close without replying.
-    const int c1 = ::accept(lfd, nullptr, nullptr);
-    if (c1 >= 0) {
-      char buf[64];
-      (void)::recv(c1, buf, sizeof(buf), 0);
-      ::close(c1);
-    }
-    // Second connection (the transparent reconnect): serve one v1 PING.
-    const int c2 = ::accept(lfd, nullptr, nullptr);
-    if (c2 >= 0) {
-      std::vector<std::uint8_t> rx(net::kHeaderBytes);
-      std::size_t off = 0;
-      while (off < rx.size()) {
-        const ssize_t n = ::recv(c2, rx.data() + off, rx.size() - off, 0);
-        if (n <= 0) break;
-        off += static_cast<std::size_t>(n);
-      }
-      net::Frame frame;
-      std::size_t consumed = 0;
-      if (net::decode_frame(rx, frame, consumed) == net::DecodeStatus::kOk &&
-          frame.header.type == net::MsgType::kPing) {
-        std::vector<std::uint8_t> pong;
-        net::encode_pong(pong, frame.header.seq);
-        (void)::send(c2, pong.data(), pong.size(), MSG_NOSIGNAL);
-      }
-      ::close(c2);
-    }
-  });
-
-  net::Client client = net::Client::connect("127.0.0.1", port);
-  EXPECT_EQ(client.negotiate(), net::kProtocolVersion);
-  EXPECT_EQ(client.version(), net::kProtocolVersion);
-  EXPECT_TRUE(client.connected());
-  client.ping();  // the fallback connection actually works
-  responder.join();
-  ::close(lfd);
 }
 
 /// Blocking read of exactly one frame from `fd`, buffering any extra bytes
@@ -678,7 +579,7 @@ bool recv_frame(int fd, std::vector<std::uint8_t>& rx, net::Frame& frame,
 }
 
 TEST(NetClient, ParksAndReturnsRepliesThatArriveInReverseOrder) {
-  // The server answers a connection in request order, but the v2 client
+  // The server answers a connection in request order, but the client
   // contract is order-free: a scripted peer answers each pair of ACCESS
   // ids in reverse, and poll_any / await_access / await_access_reply must
   // each hand back every completion under its own id.
@@ -701,9 +602,9 @@ TEST(NetClient, ParksAndReturnsRepliesThatArriveInReverseOrder) {
     if (c < 0) return;
     std::vector<std::uint8_t> rx, bytes, tx;
     net::Frame frame;
-    // The negotiation probe: a v2 PING.
+    // negotiate()'s PING.
     if (recv_frame(c, rx, frame, bytes)) {
-      net::encode_pong(tx, frame.header.seq, net::kProtocolV2);
+      net::encode_pong(tx, frame.header.seq);
       (void)::send(c, tx.data(), tx.size(), MSG_NOSIGNAL);
       tx.clear();
     }
@@ -718,8 +619,7 @@ TEST(NetClient, ParksAndReturnsRepliesThatArriveInReverseOrder) {
         net::encode_access_reply(
             r, frame.header.seq,
             {.count = static_cast<std::uint32_t>(batch.size()),
-             .hits = static_cast<std::uint32_t>(frame.header.seq)},
-            net::kProtocolV2);
+             .hits = static_cast<std::uint32_t>(frame.header.seq)});
       }
       tx.insert(tx.end(), replies[1].begin(), replies[1].end());
       tx.insert(tx.end(), replies[0].begin(), replies[0].end());
@@ -815,11 +715,9 @@ TEST(NetClient, RecvTimeoutSurfacesAsTimedOutAndClosesTheConnection) {
 }
 
 TEST(NetClient, SyncRpcMidPipelineDrainsOutstandingReplies) {
-  // Regression: replies are correlated purely by order, so a sync RPC
-  // issued with ACCESS replies still in flight used to throw
-  // (require_quiet). It must now drain the pipeline and answer normally
-  // — a monitoring poller calling stats() must not care what the driver
-  // thread has outstanding.
+  // A sync RPC issued with ACCESS replies still in flight drains the
+  // pipeline first and answers normally — a monitoring poller calling
+  // stats() must not care what the driver thread has outstanding.
   runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
   net::Server server(rt, {.port = 0, .workers = 2});
   server.start();

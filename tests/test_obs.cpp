@@ -4,7 +4,7 @@
 // serial sibling, registry find-or-create + sharded-counter sums under
 // concurrency (the TSan target — suites start with "Obs" for the CI -R
 // filters), event-ring overflow accounting, the HTTP scrape endpoint,
-// the METRICS verb in both protocol versions, and the capstone: one live
+// the METRICS verb over the wire, and the capstone: one live
 // serving run where the wire STATS pin, the METRICS verb, and the HTTP
 // /metrics body agree exactly.
 #include <gtest/gtest.h>
@@ -432,7 +432,7 @@ runtime::RuntimeConfig small_runtime_config(std::uint32_t shards = 2) {
   return {.cache = test_util::tiny_cache(64, 8), .shards = shards};
 }
 
-TEST(ObsMetricsVerb, RoundTripsInBothProtocolVersions) {
+TEST(ObsMetricsVerb, RoundTripsOverTheWire) {
   obs::MetricsRegistry reg;
   runtime::RuntimeConfig rcfg = small_runtime_config();
   rcfg.metrics = &reg;
@@ -440,20 +440,14 @@ TEST(ObsMetricsVerb, RoundTripsInBothProtocolVersions) {
   net::Server server(rt, {.port = 0, .workers = 1, .metrics = &reg});
   server.start();
 
-  for (const bool use_v2 : {false, true}) {
-    SCOPED_TRACE(use_v2 ? "v2" : "v1");
-    net::Client c = net::Client::connect("127.0.0.1", server.port());
-    if (use_v2) {
-      ASSERT_EQ(c.negotiate(), net::kProtocolV2);
-    }
-    const net::MetricsReply reply = c.metrics();
-    EXPECT_FALSE(reply.entries.empty());
-    bool found = false;
-    for (const net::MetricsEntry& e : reply.entries) {
-      if (e.name == "icgmm_cache_accesses") found = true;
-    }
-    EXPECT_TRUE(found);
+  net::Client c = net::Client::connect("127.0.0.1", server.port());
+  const net::MetricsReply reply = c.metrics();
+  EXPECT_FALSE(reply.entries.empty());
+  bool found = false;
+  for (const net::MetricsEntry& e : reply.entries) {
+    if (e.name == "icgmm_cache_accesses") found = true;
   }
+  EXPECT_TRUE(found);
   server.stop();
 }
 
@@ -475,8 +469,8 @@ TEST(ObsMetricsVerb, MetricsReplySentAsRequestGetsErrorNotClose) {
   // A reply type is well-framed but not a request: the server must answer
   // ERROR and keep the connection alive — not poison-close the stream.
   std::vector<std::uint8_t> wire;
-  net::encode_metrics_reply(wire, 1, {}, net::kProtocolVersion);
-  net::encode_ping(wire, 2, net::kProtocolVersion);
+  net::encode_metrics_reply(wire, 1, {});
+  net::encode_ping(wire, 2);
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);

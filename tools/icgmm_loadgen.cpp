@@ -14,15 +14,16 @@
 //                 [--flush-at FRAC]     admin FLUSH after this fraction of
 //                                       requests (server-side warm-up
 //                                       discard; exact with 1 connection)
-//                 [--protocol auto|1|2] wire protocol: auto (default)
-//                                       negotiates v2 and falls back to
-//                                       v1; 1 forces the v1 ordered
-//                                       stream; 2 fails unless the
-//                                       server speaks v2
+//                 [--protocol 2]        wire protocol version; 2 is the
+//                                       only one (accepted for old
+//                                       command lines)
 //                 [--replay-timing [SCALE]]  pace sends from a recorded
 //                                       capture's inter-arrival times
 //                                       (SCALE stretches gaps; default 1)
-//                 [--json FILE] [--quiet]
+//                 [--json FILE] [--quiet] [--help]
+//
+// --help prints the usage and exits 0; an unknown flag, a missing or bad
+// value, or a --protocol other than 2 prints it and exits 2.
 //
 // --trace accepts three file kinds, told apart by magic sniffing (not
 // extension): an icgmm_serve capture ("ICGR" — replayed with its served
@@ -69,6 +70,15 @@ namespace {
 using namespace icgmm;
 using Clock = std::chrono::steady_clock;
 
+constexpr const char* kUsage =
+    "usage: icgmm_loadgen [--host H] [--port P] [-n REQUESTS]\n"
+    "                     [--trace FILE | --benchmark NAME]\n"
+    "                     [--pages N] [--skew S] [--seed S] [--write-frac F]\n"
+    "                     [--connections C] [--batch B] [--pipeline D]\n"
+    "                     [--qps TARGET] [--no-transform] [--flush-at FRAC]\n"
+    "                     [--protocol 2] [--replay-timing [SCALE]]\n"
+    "                     [--json FILE] [--quiet] [--help]\n";
+
 struct Args {
   std::string host = "127.0.0.1";
   std::uint16_t port = 9090;
@@ -86,13 +96,12 @@ struct Args {
   double qps = 0.0;  // 0 = closed loop
   bool transform = true;
   double flush_at = -1.0;
-  /// 0 = auto (negotiate v2, fall back to v1), 1 = force v1, 2 = require v2.
-  int protocol = 0;
   /// <= 0: off. Otherwise pace sends from recorded arrival times,
   /// inter-arrival gaps multiplied by this factor.
   double replay_timing = 0.0;
   std::string json_path;
   bool quiet = false;
+  bool help = false;
 };
 
 Args parse(int argc, char** argv) {
@@ -118,11 +127,9 @@ Args parse(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--no-transform")) args.transform = false;
     else if (!std::strcmp(argv[i], "--flush-at")) args.flush_at = std::stod(next());
     else if (!std::strcmp(argv[i], "--protocol")) {
-      const std::string v = next();
-      if (v == "auto") args.protocol = 0;
-      else if (v == "1") args.protocol = 1;
-      else if (v == "2") args.protocol = 2;
-      else throw std::invalid_argument("--protocol takes auto, 1, or 2");
+      if (std::strcmp(next(), "2") != 0) {
+        throw std::invalid_argument("--protocol takes only 2");
+      }
     }
     else if (!std::strcmp(argv[i], "--replay-timing")) {
       // Optional value: consume the next token only if it parses as a
@@ -139,6 +146,7 @@ Args parse(int argc, char** argv) {
     }
     else if (!std::strcmp(argv[i], "--json")) args.json_path = next();
     else if (!std::strcmp(argv[i], "--quiet")) args.quiet = true;
+    else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) args.help = true;
     else throw std::invalid_argument(std::string("unknown flag: ") + argv[i]);
   }
   if (args.connections == 0) args.connections = 1;
@@ -236,7 +244,6 @@ struct ConnResult {
   std::uint64_t requests = 0;
   std::uint64_t batches = 0;
   std::uint64_t hits = 0;
-  std::uint8_t protocol = 0;  ///< wire version this connection spoke
   std::string error;
 };
 
@@ -248,14 +255,6 @@ void run_connection(const Args& args, std::span<const net::WireAccess> chunk,
                     std::vector<std::size_t> clear_points, ConnResult& result) {
   try {
     net::Client client = net::Client::connect(args.host, args.port);
-    if (args.protocol != 1) {
-      const std::uint8_t negotiated = client.negotiate();
-      if (args.protocol == 2 && negotiated != net::kProtocolV2) {
-        throw std::runtime_error(
-            "--protocol 2 requested but the server only speaks v1");
-      }
-    }
-    result.protocol = client.version();
     net::ReplayOptions opts;
     opts.batch = args.batch;
     opts.pipeline = args.pipeline;
@@ -293,8 +292,12 @@ int main(int argc, char** argv) {
   try {
     args = parse(argc, argv);
   } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
+    std::cerr << "error: " << e.what() << "\n" << kUsage;
+    return 2;
+  }
+  if (args.help) {
+    std::cout << kUsage;
+    return 0;
   }
 
   Workload workload;
@@ -388,13 +391,11 @@ int main(int argc, char** argv) {
   obs::LatencyHistogram latency;
   std::uint64_t completed = 0, batches = 0, hits = 0;
   int failed = 0;
-  int protocol = 0;  // all connections negotiate against one server
   for (const ConnResult& r : results) {
     latency.merge(r.latency);
     completed += r.requests;
     batches += r.batches;
     hits += r.hits;
-    protocol = std::max(protocol, static_cast<int>(r.protocol));
     if (!r.error.empty()) {
       ++failed;
       std::cerr << "connection error: " << r.error << "\n";
@@ -414,7 +415,7 @@ int main(int argc, char** argv) {
   if (!args.quiet) {
     std::cout << "completed " << completed << " requests in " << elapsed
               << " s (" << achieved_qps / 1e6 << " M req/s, " << batches
-              << " batches, protocol v" << protocol << ")\n"
+              << " batches)\n"
               << "client hit fraction: "
               << (completed ? static_cast<double>(hits) /
                                   static_cast<double>(completed)
@@ -510,7 +511,6 @@ int main(int argc, char** argv) {
         << "  \"connections\": " << conns << ",\n"
         << "  \"batch\": " << args.batch << ",\n"
         << "  \"pipeline\": " << args.pipeline << ",\n"
-        << "  \"protocol\": " << protocol << ",\n"
         << "  \"mode\": \"" << (args.qps > 0.0 ? "open" : "closed") << "\",\n"
         << "  \"target_qps\": " << args.qps << ",\n"
         << "  \"achieved_qps\": " << achieved_qps << ",\n"

@@ -351,7 +351,7 @@ int main(int argc, char** argv) {
 
   // Announce the resolved port on a parseable line (CI greps for it).
   std::cout << "icgmm_serve listening on port " << server.port()
-            << " (protocols v1+v2, policy " << rt->policy_name()
+            << " (protocol v2, policy " << rt->policy_name()
             << ", shards " << args.shards << ", loops " << args.workers
             << (args.adapt ? ", adaptive" : "")
             << (rcfg.async_miss.enabled ? ", async-miss" : "")
